@@ -27,7 +27,7 @@ use std::collections::{HashMap, HashSet, VecDeque};
 use sk_ksim::block::BlockDevice;
 use sk_ksim::errno::KResult;
 
-use crate::journal::{fnv1a, COMMIT_MAGIC, DESC_MAGIC, JSB_MAGIC};
+use crate::journal::{read_record, LogRecord, JSB_MAGIC};
 use crate::layout::{
     dirent_parse, DiskInode, Superblock, BLOCK_BITMAP, BLOCK_SIZE, INODES_PER_BLOCK, INODE_BITMAP,
     INODE_SIZE, INODE_TABLE, MODE_DIR, MODE_FREE, NDIRECT, NINDIRECT, ROOT_INO, SB_BLOCK,
@@ -292,66 +292,21 @@ pub fn fsck(dev: &dyn BlockDevice) -> KResult<FsckReport> {
 }
 
 /// Parses the record starting at log offset `off`; returns `Some((seq,
-/// count))` only for a *fully committed* record (descriptor, in-range
-/// count, sane home blknos, matching commit record, matching payload
-/// checksum) whose sequence is at least `seq_min`.
+/// count))` only for a *fully committed* record whose sequence is at
+/// least `seq_min`.
 fn committed_record_at(
     dev: &dyn BlockDevice,
     jstart: u64,
-    area: u64,
+    jblocks: u64,
     off: u64,
     seq_min: u64,
 ) -> KResult<Option<(u64, u64)>> {
-    let bs = dev.block_size();
-    let mut desc = vec![0u8; bs];
-    dev.read_block(jstart + 1 + off, &mut desc)?;
-    if u32::from_le_bytes(desc[0..4].try_into().expect("4 bytes")) != DESC_MAGIC {
-        return Ok(None);
-    }
-    let dseq = u64::from_le_bytes(desc[4..12].try_into().expect("8 bytes"));
-    if dseq < seq_min {
-        return Ok(None);
-    }
-    let count = u64::from(u32::from_le_bytes(
-        desc[12..16].try_into().expect("4 bytes"),
-    ));
-    if count == 0 || off + 2 + count > area {
-        return Ok(None);
-    }
-    let claimed = u64::from_le_bytes(desc[bs - 8..].try_into().expect("8 bytes"));
-    let mut blknos = Vec::with_capacity(count as usize);
-    for i in 0..count as usize {
-        let o = 16 + i * 8;
-        let b = u64::from_le_bytes(desc[o..o + 8].try_into().expect("8 bytes"));
-        if b >= jstart {
-            return Ok(None);
-        }
-        blknos.push(b);
-    }
-    let mut commit = vec![0u8; bs];
-    dev.read_block(jstart + 1 + off + 1 + count, &mut commit)?;
-    if u32::from_le_bytes(commit[0..4].try_into().expect("4 bytes")) != COMMIT_MAGIC
-        || u64::from_le_bytes(commit[4..12].try_into().expect("8 bytes")) != dseq
-        || u64::from_le_bytes(commit[12..20].try_into().expect("8 bytes")) != claimed
-    {
-        return Ok(None);
-    }
-    let mut payload = Vec::with_capacity(count as usize);
-    for i in 0..count {
-        let mut data = vec![0u8; bs];
-        dev.read_block(jstart + 1 + off + 1 + i, &mut data)?;
-        payload.push(data);
-    }
-    let seq_bytes = dseq.to_le_bytes();
-    let blkno_bytes: Vec<u8> = blknos.iter().flat_map(|b| b.to_le_bytes()).collect();
-    let mut chunks: Vec<&[u8]> = vec![&seq_bytes, &blkno_bytes];
-    for p in &payload {
-        chunks.push(p.as_slice());
-    }
-    if fnv1a(&chunks) != claimed {
-        return Ok(None);
-    }
-    Ok(Some((dseq, count)))
+    Ok(
+        match read_record(dev, jstart, jblocks, off, |seq| seq >= seq_min)? {
+            LogRecord::Committed { seq, writes } => Some((seq, writes.len() as u64)),
+            LogRecord::End | LogRecord::Torn => None,
+        },
+    )
 }
 
 /// I8: the journal's descriptor chain. Mirrors the recovery walk but is
@@ -395,7 +350,7 @@ fn check_journal(dev: &dyn BlockDevice, sb: &Superblock, report: &mut FsckReport
     let mut expected = tail_seq;
     let mut off = tail_off;
     while off + 3 <= area {
-        match committed_record_at(dev, jstart, area, off, expected)? {
+        match committed_record_at(dev, jstart, jblocks, off, expected)? {
             Some((dseq, count)) if dseq == expected => {
                 expected += 1;
                 off += 2 + count;
@@ -407,7 +362,7 @@ fn check_journal(dev: &dyn BlockDevice, sb: &Superblock, report: &mut FsckReport
     // recovery still expects is unreachable behind the tear.
     let mut probe = off;
     while probe + 3 <= area {
-        if let Some((dseq, _)) = committed_record_at(dev, jstart, area, probe, expected)? {
+        if let Some((dseq, _)) = committed_record_at(dev, jstart, jblocks, probe, expected)? {
             if dseq >= expected {
                 report.findings.push(Finding::TornJournal {
                     expected_seq: expected,
@@ -637,24 +592,11 @@ mod tests {
     /// Builds a fully committed journal record (desc + payload + commit)
     /// for `seq` writing `fill` to home block 4.
     fn committed_record(seq: u64, fill: u8) -> Vec<Vec<u8>> {
-        use crate::journal::{fnv1a, COMMIT_MAGIC, DESC_MAGIC};
         let bs = 4096;
-        let payload = vec![fill; bs];
-        let blkno = 4u64;
-        let seq_bytes = seq.to_le_bytes();
-        let blkno_bytes = blkno.to_le_bytes().to_vec();
-        let checksum = fnv1a(&[&seq_bytes, &blkno_bytes, payload.as_slice()]);
-        let mut desc = vec![0u8; bs];
-        desc[0..4].copy_from_slice(&DESC_MAGIC.to_le_bytes());
-        desc[4..12].copy_from_slice(&seq_bytes);
-        desc[12..16].copy_from_slice(&1u32.to_le_bytes());
-        desc[16..24].copy_from_slice(&blkno.to_le_bytes());
-        desc[bs - 8..].copy_from_slice(&checksum.to_le_bytes());
-        let mut commit = vec![0u8; bs];
-        commit[0..4].copy_from_slice(&COMMIT_MAGIC.to_le_bytes());
-        commit[4..12].copy_from_slice(&seq_bytes);
-        commit[12..20].copy_from_slice(&checksum.to_le_bytes());
-        vec![desc, payload, commit]
+        crate::journal::encode_record(seq, &[(4, vec![fill; bs])], bs)
+            .chunks(bs)
+            .map(<[u8]>::to_vec)
+            .collect()
     }
 
     /// A torn record at the tail with nothing committed beyond it is the
@@ -711,6 +653,29 @@ mod tests {
             "{:?}",
             report.findings
         );
+    }
+
+    /// Regression: a torn descriptor whose count exceeds the descriptor's
+    /// slots but fits a large log area must read as torn — a clean
+    /// report — rather than index past the descriptor block.
+    #[test]
+    fn overfull_descriptor_count_is_clean_torn_tail() {
+        use crate::journal::DESC_MAGIC;
+        let ram = Arc::new(RamDisk::new(2048));
+        let dev: Arc<dyn BlockDevice> = Arc::clone(&ram) as Arc<dyn BlockDevice>;
+        Rsfs::mkfs(&dev, 128, 1024).unwrap();
+        let (jstart, _) = journal_geom(&ram);
+        let mut blk = vec![0u8; 4096];
+        ram.read_block(jstart, &mut blk).unwrap();
+        let tail_seq = u64::from_le_bytes(blk[4..12].try_into().unwrap());
+        let tail_off = u64::from_le_bytes(blk[12..20].try_into().unwrap());
+        let mut desc = vec![0u8; 4096];
+        desc[0..4].copy_from_slice(&DESC_MAGIC.to_le_bytes());
+        desc[4..12].copy_from_slice(&tail_seq.to_le_bytes());
+        desc[12..16].copy_from_slice(&600u32.to_le_bytes());
+        ram.write_block(jstart + 1 + tail_off, &desc).unwrap();
+        let report = fsck(&*dev).unwrap();
+        assert!(report.is_clean(), "{:?}", report.findings);
     }
 
     #[test]

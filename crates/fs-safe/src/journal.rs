@@ -18,13 +18,22 @@
 //! **Group commit.** Concurrent committers merge into one open
 //! transaction, exactly as jbd2 batches handles into its running
 //! transaction: each operation *joins* the open transaction (taking a
-//! monotonic order token) before it publishes its block images, and the
-//! first committer to find no leader becomes the leader, writing a single
-//! descriptor/payload/commit record — one flush barrier — for every
-//! member of the batch. Followers block on a condvar until their token's
-//! batch is durable. Batches always cover a token-contiguous prefix of
-//! operations, so a crash leaves a prefix of the operation history — never
-//! a later operation without an earlier one it may depend on.
+//! monotonic order token) before it publishes its block images. Every
+//! operation then *stages* its images into the running transaction;
+//! [`OpHandle::commit`] is stage, then wait on the `flushed_upto`
+//! watermark until it passes the operation's token. A waiter that finds
+//! no leader becomes the leader, writing a single descriptor/payload/commit
+//! record — one flush barrier — for every staged member of the batch;
+//! the others block on a condvar until the watermark advances. Batches
+//! always cover a token-contiguous prefix of operations, so a crash
+//! leaves a prefix of the operation history — never a later operation
+//! without an earlier one it may depend on.
+//!
+//! **Record format.** One record is a descriptor block (magic, seq,
+//! count, home block numbers, checksum in the last eight bytes), the
+//! payload blocks, and a commit block (magic, seq, checksum). Exactly one
+//! encode/parse pair (`encode_record`, `read_record`) knows the
+//! layout; the writer, recovery, and fsck all go through it.
 //!
 //! **Deferred checkpoint.** `commit` returns once the journal record is
 //! durable; home-location writes are deferred. [`Journal::checkpoint`]
@@ -55,15 +64,16 @@
 //! consumed sequence number; recovery's forward walk would stop there, so
 //! any record appended afterwards could be acknowledged and then lost.
 //! Like ext4, the journal therefore goes *sticky read-only*
-//! ([`Journal::is_aborted`]): every later commit and checkpoint fails
-//! with `EROFS` until the file system is remounted, at which point
-//! recovery replays exactly the durable prefix. An `EIO` during
-//! *checkpoint* is the benign counterpart: the drained transactions stay
-//! registered, the on-disk tail stays put, and no Delay pin is released,
-//! so the checkpoint simply retries.
+//! ([`Journal::is_aborted`]): an operation committed in the failed batch
+//! reports the batch's errno (`EIO`), and every later commit,
+//! `commit_running`, and checkpoint fails with `EROFS` until the file
+//! system is remounted, at which point recovery replays exactly the
+//! durable prefix. An `EIO` during *checkpoint* is the benign
+//! counterpart: the drained transactions stay registered, the on-disk
+//! tail stays put, and no Delay pin is released, so the checkpoint
+//! simply retries.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use parking_lot::{Condvar, Mutex};
@@ -90,13 +100,129 @@ pub fn fnv1a(chunks: &[&[u8]]) -> u64 {
     h
 }
 
+/// Home block numbers one descriptor block can name: the block less its
+/// 16-byte header (magic, seq, count) and 8-byte trailing checksum.
+pub(crate) fn desc_slots(bs: usize) -> usize {
+    (bs - 24) / 8
+}
+
+/// The record checksum: FNV-1a over seq, home blknos, and payload bytes.
+fn record_checksum(seq: u64, writes: &[(u64, Vec<u8>)]) -> u64 {
+    let seq_bytes = seq.to_le_bytes();
+    let blkno_bytes: Vec<u8> = writes.iter().flat_map(|(b, _)| b.to_le_bytes()).collect();
+    let mut chunks: Vec<&[u8]> = vec![&seq_bytes, &blkno_bytes];
+    chunks.extend(writes.iter().map(|(_, data)| data.as_slice()));
+    fnv1a(&chunks)
+}
+
+/// Encodes one journal record — descriptor, payload, commit block — as
+/// `writes.len() + 2` contiguous blocks. The caller keeps `writes` within
+/// `desc_slots(bs)` and every image exactly `bs` bytes.
+pub(crate) fn encode_record(seq: u64, writes: &[(u64, Vec<u8>)], bs: usize) -> Vec<u8> {
+    let count = writes.len();
+    assert!(count <= desc_slots(bs), "record overflows its descriptor");
+    let checksum = record_checksum(seq, writes);
+    let mut record = vec![0u8; (count + 2) * bs];
+    let (desc, rest) = record.split_at_mut(bs);
+    desc[0..4].copy_from_slice(&DESC_MAGIC.to_le_bytes());
+    desc[4..12].copy_from_slice(&seq.to_le_bytes());
+    desc[12..16].copy_from_slice(&(count as u32).to_le_bytes());
+    for (i, (blkno, _)) in writes.iter().enumerate() {
+        let o = 16 + i * 8;
+        desc[o..o + 8].copy_from_slice(&blkno.to_le_bytes());
+    }
+    desc[bs - 8..].copy_from_slice(&checksum.to_le_bytes());
+    let (payload, commit) = rest.split_at_mut(count * bs);
+    for (block, (_, data)) in payload.chunks_exact_mut(bs).zip(writes) {
+        block.copy_from_slice(data);
+    }
+    commit[0..4].copy_from_slice(&COMMIT_MAGIC.to_le_bytes());
+    commit[4..12].copy_from_slice(&seq.to_le_bytes());
+    commit[12..20].copy_from_slice(&checksum.to_le_bytes());
+    record
+}
+
+/// What `read_record` found at a log offset.
+pub(crate) enum LogRecord {
+    /// No descriptor, or one whose sequence the caller does not want:
+    /// the end of the log, or residue of an already-retired record.
+    End,
+    /// A wanted descriptor whose record does not validate (count out of
+    /// range, a home block inside the journal, a missing or mismatched
+    /// commit block, or a bad checksum): a torn write.
+    Torn,
+    /// A fully committed record.
+    Committed {
+        /// Its sequence number.
+        seq: u64,
+        /// Home blkno → image, in record order.
+        writes: Vec<(u64, Vec<u8>)>,
+    },
+}
+
+/// Parses the record at offset `off` of the log area of the journal
+/// region `[start, start + blocks)`. `want_seq` filters descriptors
+/// before anything past the descriptor block is read. Never reads outside
+/// the log area, whatever the descriptor claims.
+pub(crate) fn read_record(
+    dev: &dyn BlockDevice,
+    start: u64,
+    blocks: u64,
+    off: u64,
+    want_seq: impl Fn(u64) -> bool,
+) -> KResult<LogRecord> {
+    let bs = dev.block_size();
+    let area = blocks - 1;
+    let mut desc = vec![0u8; bs];
+    dev.read_block(start + 1 + off, &mut desc)?;
+    if u32::from_le_bytes(desc[0..4].try_into().expect("4 bytes")) != DESC_MAGIC {
+        return Ok(LogRecord::End);
+    }
+    let seq = u64::from_le_bytes(desc[4..12].try_into().expect("8 bytes"));
+    if !want_seq(seq) {
+        return Ok(LogRecord::End);
+    }
+    let count = u32::from_le_bytes(desc[12..16].try_into().expect("4 bytes")) as usize;
+    if count == 0 || count > desc_slots(bs) || off + 2 + count as u64 > area {
+        return Ok(LogRecord::Torn);
+    }
+    let claimed = u64::from_le_bytes(desc[bs - 8..].try_into().expect("8 bytes"));
+    let mut writes = Vec::with_capacity(count);
+    for i in 0..count {
+        let o = 16 + i * 8;
+        let blkno = u64::from_le_bytes(desc[o..o + 8].try_into().expect("8 bytes"));
+        if blkno >= start {
+            return Ok(LogRecord::Torn);
+        }
+        writes.push((blkno, Vec::new()));
+    }
+    let mut commit = vec![0u8; bs];
+    dev.read_block(start + 1 + off + 1 + count as u64, &mut commit)?;
+    if u32::from_le_bytes(commit[0..4].try_into().expect("4 bytes")) != COMMIT_MAGIC
+        || u64::from_le_bytes(commit[4..12].try_into().expect("8 bytes")) != seq
+        || u64::from_le_bytes(commit[12..20].try_into().expect("8 bytes")) != claimed
+    {
+        return Ok(LogRecord::Torn);
+    }
+    for (i, (_, data)) in writes.iter_mut().enumerate() {
+        *data = vec![0u8; bs];
+        dev.read_block(start + 1 + off + 1 + i as u64, data)?;
+    }
+    if record_checksum(seq, &writes) != claimed {
+        return Ok(LogRecord::Torn);
+    }
+    Ok(LogRecord::Committed { seq, writes })
+}
+
 /// Journal usage counters.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct JournalStats {
-    /// Logical transactions committed (one per `commit` caller).
+    /// Operations committed: one per [`OpHandle::commit`] caller that
+    /// handed in writes (the per-op path, which stages and then waits).
     pub commits: u64,
     /// Operations staged into the running transaction without waiting
-    /// for durability (the async-commit path).
+    /// for durability: one per [`OpHandle::stage`] caller that handed in
+    /// writes (the async-commit path).
     pub stages: u64,
     /// Running-transaction commits forced by log pressure: the staged
     /// payload reached record capacity, so the staging operation ran
@@ -182,11 +308,6 @@ pub type RetireHook = Box<dyn Fn(&[u64]) + Send + Sync>;
 struct Member {
     token: u64,
     writes: Vec<(u64, Vec<u8>)>,
-    /// True for [`OpHandle::commit`] members, whose caller blocks on the
-    /// batch result via `completed`. Staged ([`OpHandle::stage`]) members
-    /// have no waiter: their result is never inserted into `completed`
-    /// (a batch failure surfaces as the sticky journal abort instead).
-    sync: bool,
 }
 
 /// The open (merging) transaction plus the leader/follower machinery.
@@ -202,9 +323,11 @@ struct GroupState {
     /// degenerates into once N reactors stage concurrently).
     open: BTreeSet<u64>,
     /// Every token below this bound has its writes durable in the log
-    /// (or contributed none). Advanced by the leader after each record;
-    /// `commit_running` waits for it to pass the tokens issued before
-    /// the call instead of waiting for the whole group to drain.
+    /// (or contributed none). Advanced by the leader after each record
+    /// and frozen once the journal aborts. Both durability waits watch
+    /// it: [`OpHandle::commit`] for its own token, `commit_running` for
+    /// the tokens issued before the call — never for the whole group to
+    /// drain.
     flushed_upto: u64,
     /// Contributed members of the open transaction, in token order.
     members: Vec<Member>,
@@ -212,9 +335,20 @@ struct GroupState {
     leader_running: bool,
     /// Next on-disk sequence number.
     next_seq: u64,
-    /// Results of finished batches, keyed by member token; entries are
-    /// reaped as their waiters pick them up.
-    completed: HashMap<u64, KResult<()>>,
+    /// ext4-style journal abort: `(bound, errno)` of the batch whose
+    /// record write failed. Set once, never cleared.
+    ///
+    /// The leader consumes a sequence number and reserves log space
+    /// *before* the record IO, so a failed [`Journal::write_batch`] leaves
+    /// a gap (garbage or a partial record) in the log at the sequence
+    /// recovery will expect next. Any record appended after that gap is
+    /// unreachable: recovery's forward walk stops at the gap, so a later
+    /// commit could be acknowledged and then silently lost after a crash.
+    /// The only safe continuation is none. Operations in the failed batch
+    /// (tokens below `bound`) report `errno`; every later commit and
+    /// checkpoint fails with `EROFS` and the caller must remount, which
+    /// replays exactly the durable prefix.
+    failed: Option<(u64, Errno)>,
 }
 
 /// RAII handle for an operation that has joined the open transaction via
@@ -234,10 +368,20 @@ impl OpHandle<'_> {
 
     /// Publishes `writes` (home blkno → full block image) as one atomic
     /// transaction and blocks until the batch containing it is durable in
-    /// the journal. Home writes are deferred to checkpoint.
+    /// the journal: [`OpHandle::stage`], then a wait for the
+    /// `flushed_upto` watermark to pass this token. Home writes are
+    /// deferred to checkpoint. If the batch's record write fails, this
+    /// returns that write's errno (`EIO`); a commit refused by an earlier
+    /// abort returns `EROFS`.
     pub fn commit(mut self, writes: Vec<(u64, Vec<u8>)>) -> KResult<()> {
         self.done = true;
-        self.journal.commit_op(self.token, writes)
+        let journal = self.journal;
+        let mut g = journal.group.lock();
+        if journal.stage_op(&mut g, self.token, writes)? {
+            journal.stats.lock().commits += 1;
+            journal.wait_flushed(&mut g, self.token + 1)?;
+        }
+        Ok(())
     }
 
     /// Publishes `writes` into the **running transaction** and returns as
@@ -252,7 +396,17 @@ impl OpHandle<'_> {
     /// nothing in the running transaction.
     pub fn stage(mut self, writes: Vec<(u64, Vec<u8>)>) -> KResult<()> {
         self.done = true;
-        self.journal.stage_op(self.token, writes)
+        let journal = self.journal;
+        let mut g = journal.group.lock();
+        if journal.stage_op(&mut g, self.token, writes)? {
+            journal.stats.lock().stages += 1;
+        }
+        if g.failed.is_some() {
+            // The log-pressure commit this call ran failed, possibly
+            // with our member in it: the operation is not acknowledged.
+            return Err(Errno::EROFS);
+        }
+        Ok(())
     }
 }
 
@@ -284,18 +438,6 @@ pub struct Journal {
     /// Leaf counters; never held across another acquisition, left raw.
     stats: Mutex<JournalStats>,
     registry: Arc<LockRegistry>,
-    /// ext4-style journal abort: set when a record write fails partway.
-    ///
-    /// The leader consumes a sequence number and reserves log space
-    /// *before* the record IO, so a failed [`Journal::write_batch`] leaves
-    /// a gap (garbage or a partial record) in the log at the sequence
-    /// recovery will expect next. Any record appended after that gap is
-    /// unreachable: recovery's forward walk stops at the gap, so a later
-    /// commit could be acknowledged and then silently lost after a crash.
-    /// The only safe continuation is none — once set, every subsequent
-    /// commit and checkpoint fails with `EROFS` and the caller must
-    /// remount, which replays exactly the durable prefix.
-    aborted: AtomicBool,
 }
 
 impl Journal {
@@ -304,10 +446,14 @@ impl Journal {
         self.blocks - 1
     }
 
-    /// Maximum payload blocks per journal record for this geometry.
+    /// Maximum payload blocks per journal record for this geometry: the
+    /// log area less descriptor and commit blocks, and no more than one
+    /// descriptor block can name.
     pub fn capacity(&self) -> usize {
         // jsb + descriptor + commit leave blocks-3 payload slots.
-        (self.blocks as usize).saturating_sub(3)
+        (self.blocks as usize)
+            .saturating_sub(3)
+            .min(desc_slots(self.dev.block_size()))
     }
 
     /// Formats the journal region (sequence starts at 1, tail at offset 0).
@@ -359,7 +505,7 @@ impl Journal {
                     members: Vec::new(),
                     leader_running: false,
                     next_seq: tail_seq,
-                    completed: HashMap::new(),
+                    failed: None,
                 },
             ),
             group_cv: Condvar::new(),
@@ -378,7 +524,6 @@ impl Journal {
             retire_hook: TrackedMutex::new(&registry, "journal.retire", None),
             stats: Mutex::new(JournalStats::default()),
             registry,
-            aborted: AtomicBool::new(false),
         })
     }
 
@@ -392,11 +537,7 @@ impl Journal {
     /// with `EROFS`; recovery at the next mount replays the durable
     /// prefix of the log.
     pub fn is_aborted(&self) -> bool {
-        self.aborted.load(Ordering::Acquire)
-    }
-
-    fn abort(&self) {
-        self.aborted.store(true, Ordering::Release);
+        self.group.lock().failed.is_some()
     }
 
     /// Next on-disk sequence number (the open transaction's).
@@ -499,105 +640,78 @@ impl Journal {
         Ok(dedup)
     }
 
-    fn commit_op(&self, token: u64, writes: Vec<(u64, Vec<u8>)>) -> KResult<()> {
-        let mut g = self.group.lock();
-        if self.is_aborted() {
-            g.open.remove(&token);
-            self.group_cv.notify_all();
-            return Err(Errno::EROFS);
-        }
-        if writes.is_empty() {
-            g.open.remove(&token);
-            self.group_cv.notify_all();
-            return Ok(());
-        }
-        let dedup = match self.validate(writes) {
-            Ok(d) => d,
-            Err(e) => {
-                g.open.remove(&token);
-                self.group_cv.notify_all();
-                return Err(e);
-            }
+    /// Stages one operation's writes into the running transaction and
+    /// releases its token. Returns `false` when there was nothing to
+    /// stage. Validation errors (`EINVAL`/`ENOSPC`) and a pre-existing
+    /// abort (`EROFS`) surface before publication, so a failed stage
+    /// leaves nothing in the running transaction. The only device IO on
+    /// this path is a log-pressure commit: once the staged payload could
+    /// fill a whole record, the staging operation runs leader duty itself
+    /// rather than letting the running transaction grow without bound
+    /// between timer ticks (jbd2 ditto: the handle that fills the
+    /// transaction kicks the commit).
+    fn stage_op(
+        &self,
+        g: &mut TrackedMutexGuard<'_, GroupState>,
+        token: u64,
+        writes: Vec<(u64, Vec<u8>)>,
+    ) -> KResult<bool> {
+        let staged = if g.failed.is_some() {
+            Err(Errno::EROFS)
+        } else if writes.is_empty() {
+            Ok(None)
+        } else {
+            self.validate(writes).map(Some)
         };
-        g.members.push(Member {
-            token,
-            writes: dedup,
-            sync: true,
-        });
         g.open.remove(&token);
         self.group_cv.notify_all();
+        let Some(writes) = staged? else {
+            return Ok(false);
+        };
+        g.members.push(Member { token, writes });
+        if self.staged_fraction(g) >= 1.0 && !g.leader_running {
+            self.stats.lock().pressure_commits += 1;
+            self.lead_or_wait(g);
+        }
+        Ok(true)
+    }
 
-        // Leader/follower: the first committer to find no leader flushes
-        // batches until the open transaction drains; everyone else waits
-        // for their token's batch.
+    /// Waits until every token below `upto` is durable in the log,
+    /// running leader duty whenever no leader is. After an abort, a wait
+    /// covered by the failed batch (`upto <= bound`) reports that batch's
+    /// errno; any other wait reports `EROFS`.
+    fn wait_flushed(&self, g: &mut TrackedMutexGuard<'_, GroupState>, upto: u64) -> KResult<()> {
         loop {
-            if let Some(res) = g.completed.remove(&token) {
-                self.stats.lock().commits += 1;
-                return res;
+            if g.flushed_upto >= upto {
+                return Ok(());
             }
-            if !g.leader_running {
-                g.leader_running = true;
-                self.lead(&mut g);
-                g.leader_running = false;
-                self.group_cv.notify_all();
-            } else {
+            if let Some((bound, errno)) = g.failed {
+                return Err(if upto <= bound { errno } else { Errno::EROFS });
+            }
+            // With nothing staged, leading again is futile while an
+            // older operation still holds its handle open: lead() would
+            // return immediately and this loop would spin with the group
+            // lock held, blocking the very hand-in it needs. Wait for
+            // the hand-in notification instead.
+            if g.members.is_empty() && g.open.first().is_some_and(|&t| t < upto) {
                 g.wait(&self.group_cv);
+                continue;
             }
+            self.lead_or_wait(g);
         }
     }
 
-    /// Stages one operation's writes into the running transaction (see
-    /// [`OpHandle::stage`]). Returns once the member is published; the
-    /// only device IO on this path is a log-pressure commit, when the
-    /// staged payload has reached record capacity and the staging
-    /// operation itself drains the running transaction.
-    fn stage_op(&self, token: u64, writes: Vec<(u64, Vec<u8>)>) -> KResult<()> {
-        let mut g = self.group.lock();
-        if self.is_aborted() {
-            g.open.remove(&token);
-            self.group_cv.notify_all();
-            return Err(Errno::EROFS);
+    /// The leader handoff: runs leader duty if no leader is running,
+    /// otherwise waits for the next group notification.
+    fn lead_or_wait(&self, g: &mut TrackedMutexGuard<'_, GroupState>) {
+        if g.leader_running {
+            g.wait(&self.group_cv);
+            return;
         }
-        if writes.is_empty() {
-            g.open.remove(&token);
-            self.group_cv.notify_all();
-            return Ok(());
-        }
-        let dedup = match self.validate(writes) {
-            Ok(d) => d,
-            Err(e) => {
-                g.open.remove(&token);
-                self.group_cv.notify_all();
-                return Err(e);
-            }
-        };
-        g.members.push(Member {
-            token,
-            writes: dedup,
-            sync: false,
-        });
-        g.open.remove(&token);
+        g.leader_running = true;
+        self.lead(g);
+        g.leader_running = false;
         self.group_cv.notify_all();
-        self.stats.lock().stages += 1;
-
-        // Log pressure: once the staged payload could fill a whole
-        // record, commit now rather than letting the running transaction
-        // grow without bound between timer ticks. The staging operation
-        // runs leader duty itself (jbd2 ditto: the handle that fills the
-        // transaction kicks the commit).
-        if self.staged_fraction(&g) >= 1.0 && !g.leader_running {
-            self.stats.lock().pressure_commits += 1;
-            g.leader_running = true;
-            self.lead(&mut g);
-            g.leader_running = false;
-            self.group_cv.notify_all();
-            if self.is_aborted() {
-                // Our own member may have been in the failed batch; the
-                // caller must treat the operation as not acknowledged.
-                return Err(Errno::EROFS);
-            }
-        }
-        Ok(())
     }
 
     /// Commits the running transaction and waits for its flush barrier —
@@ -616,32 +730,9 @@ impl Journal {
         // never waits on operations that join *after* it, so concurrent
         // reactors can keep staging without starving the fsync path.
         let upto = g.next_token;
-        loop {
-            if self.is_aborted() {
-                return Err(Errno::EROFS);
-            }
-            if g.flushed_upto >= upto {
-                return Ok(());
-            }
-            // With nothing staged, leading again is futile while an
-            // older operation still holds its handle open: lead() would
-            // return immediately and this loop would spin with the group
-            // lock held, blocking the very hand-in it needs. Wait for
-            // the hand-in notification instead.
-            let blocked_on_open = g.members.is_empty() && g.open.first().is_some_and(|&t| t < upto);
-            if blocked_on_open {
-                g.wait(&self.group_cv);
-                continue;
-            }
-            if !g.leader_running {
-                g.leader_running = true;
-                self.lead(&mut g);
-                g.leader_running = false;
-                self.group_cv.notify_all();
-            } else {
-                g.wait(&self.group_cv);
-            }
-        }
+        // Any failure means staged operations were lost: report the
+        // sticky abort, not the errno of whichever batch failed.
+        self.wait_flushed(&mut g, upto).map_err(|_| Errno::EROFS)
     }
 
     /// Number of operations currently staged in the running transaction.
@@ -651,8 +742,8 @@ impl Journal {
 
     /// Payload blocks staged in the open transaction, as a fraction of
     /// record capacity. This is the *exact* expression the stage path
-    /// tests against `1.0` for its pressure commit ([`Journal::stage_op`]
-    /// runs leader duty once the fraction reaches one), so external
+    /// tests against `1.0` for its pressure commit (`stage_op` runs
+    /// leader duty once the fraction reaches one), so external
     /// throttles reading [`Journal::log_pressure`] see the same value the
     /// leader-duty path acts on.
     fn staged_fraction(&self, g: &GroupState) -> f32 {
@@ -695,26 +786,19 @@ impl Journal {
     /// device IO.
     fn lead(&self, g: &mut TrackedMutexGuard<'_, GroupState>) {
         loop {
+            if g.failed.is_some() {
+                // Members that joined before the abort landed never reach
+                // the log; their waiters see the abort. The watermark
+                // stays frozen at the failed batch.
+                g.members.clear();
+                return;
+            }
             if g.members.is_empty() {
                 // Nothing staged: every token below the oldest still-open
                 // handle (or below next_token if none) is durable or
                 // contributed nothing.
                 let upto = g.open.first().copied().unwrap_or(g.next_token);
                 g.flushed_upto = g.flushed_upto.max(upto);
-                return;
-            }
-            if self.is_aborted() {
-                // Members that joined before the abort landed: refuse them
-                // all — their writes never reach the log. Only sync
-                // members have a waiter to tell; staged members' loss is
-                // what the sticky abort itself reports.
-                let refused: Vec<Member> = g.members.drain(..).collect();
-                for m in refused {
-                    if m.sync {
-                        g.completed.insert(m.token, Err(Errno::EROFS));
-                    }
-                }
-                self.group_cv.notify_all();
                 return;
             }
             g.members.sort_by_key(|m| m.token);
@@ -755,15 +839,14 @@ impl Journal {
             // these is durable or contributed nothing: `bound` (older
             // opens would violate it), the next remaining member, and
             // the tokens issued so far (later joins get larger ones).
+            // Every member of the batch is below `upto`, every member
+            // left behind is at or above it.
             let next_remaining = g.members.first().map(|m| m.token).unwrap_or(u64::MAX);
-            let issued = g.next_token;
+            let upto = bound.min(next_remaining).min(g.next_token);
             let pins: Vec<u64> = batch
                 .iter()
                 .flat_map(|m| m.writes.iter().map(|(b, _)| *b))
                 .collect();
-            // Only the token and sync flag survive the merge; the images
-            // themselves are moved into the record payload below.
-            let meta: Vec<(u64, bool)> = batch.iter().map(|m| (m.token, m.sync)).collect();
             let merged_len = seen.len();
             let seq = g.next_seq;
             g.next_seq += 1;
@@ -789,21 +872,16 @@ impl Journal {
                 }
                 self.write_batch(seq, merged, pins)
             });
-            if res.is_ok() {
-                self.stats.lock().batches += 1;
-                let upto = bound.min(next_remaining).min(issued);
-                g.flushed_upto = g.flushed_upto.max(upto);
-            } else {
+            match res {
+                Ok(()) => {
+                    self.stats.lock().batches += 1;
+                    g.flushed_upto = g.flushed_upto.max(upto);
+                }
                 // The sequence number is consumed and the log may hold a
                 // partial record at it; nothing appended after that gap
                 // would ever be replayed. Abort rather than lose an
                 // acknowledged later commit.
-                self.abort();
-            }
-            for (token, sync) in meta {
-                if sync {
-                    g.completed.insert(token, res);
-                }
+                Err(errno) => g.failed = Some((upto, errno)),
             }
             self.group_cv.notify_all();
         }
@@ -812,7 +890,6 @@ impl Journal {
     /// Appends one record (descriptor + payload + commit) to the log and
     /// flushes. On success the transaction is registered for checkpoint.
     fn write_batch(&self, seq: u64, writes: Vec<(u64, Vec<u8>)>, pins: Vec<u64>) -> KResult<()> {
-        let bs = self.dev.block_size();
         let count = writes.len();
         let need = count as u64 + 2;
 
@@ -853,37 +930,8 @@ impl Journal {
             self.checkpoint_inner(usize::MAX, true)?;
         };
 
-        // Checksum covers seq, home blknos, and payload bytes.
-        let seq_bytes = seq.to_le_bytes();
-        let blkno_bytes: Vec<u8> = writes.iter().flat_map(|(b, _)| b.to_le_bytes()).collect();
-        let mut chunks: Vec<&[u8]> = vec![&seq_bytes, &blkno_bytes];
-        for (_, data) in &writes {
-            chunks.push(data.as_slice());
-        }
-        let checksum = fnv1a(&chunks);
-
         // Assemble the whole record and write it as one vectored extent.
-        let mut record = vec![0u8; need as usize * bs];
-        {
-            let desc = &mut record[0..bs];
-            desc[0..4].copy_from_slice(&DESC_MAGIC.to_le_bytes());
-            desc[4..12].copy_from_slice(&seq_bytes);
-            desc[12..16].copy_from_slice(&(count as u32).to_le_bytes());
-            for (i, (blkno, _)) in writes.iter().enumerate() {
-                let o = 16 + i * 8;
-                desc[o..o + 8].copy_from_slice(&blkno.to_le_bytes());
-            }
-            desc[bs - 8..].copy_from_slice(&checksum.to_le_bytes());
-        }
-        for (i, (_, data)) in writes.iter().enumerate() {
-            record[(1 + i) * bs..(2 + i) * bs].copy_from_slice(data);
-        }
-        {
-            let commit = &mut record[(1 + count) * bs..];
-            commit[0..4].copy_from_slice(&COMMIT_MAGIC.to_le_bytes());
-            commit[4..12].copy_from_slice(&seq_bytes);
-            commit[12..20].copy_from_slice(&checksum.to_le_bytes());
-        }
+        let record = encode_record(seq, &writes, self.dev.block_size());
         self.registry.note_blocking_io("write_blocks");
         self.dev
             .write_blocks(self.start + 1 + off, need as usize, &record)?;
@@ -1055,67 +1103,20 @@ impl Journal {
         let mut expected = tail_seq;
         let mut off = tail_off;
         let mut torn = false;
-        let mut replay: Vec<(Vec<u64>, Vec<Vec<u8>>)> = Vec::new();
-        'scan: while off + 3 <= area {
-            let mut desc = vec![0u8; bs];
-            dev.read_block(start + 1 + off, &mut desc)?;
-            if u32::from_le_bytes(desc[0..4].try_into().expect("4 bytes")) != DESC_MAGIC {
-                break;
-            }
-            let dseq = u64::from_le_bytes(desc[4..12].try_into().expect("8 bytes"));
-            if dseq != expected {
-                // Residue of an already-retired (older) transaction.
-                break;
-            }
-            let count = u32::from_le_bytes(desc[12..16].try_into().expect("4 bytes")) as u64;
-            if count == 0 || off + 2 + count > area {
-                torn = true;
-                break;
-            }
-            let claimed = u64::from_le_bytes(desc[bs - 8..].try_into().expect("8 bytes"));
-            let mut blknos = Vec::with_capacity(count as usize);
-            for i in 0..count as usize {
-                let o = 16 + i * 8;
-                let b = u64::from_le_bytes(desc[o..o + 8].try_into().expect("8 bytes"));
-                if b >= start {
+        let mut replay: Vec<Vec<(u64, Vec<u8>)>> = Vec::new();
+        while off + 3 <= area {
+            match read_record(&**dev, start, blocks, off, |seq| seq == expected)? {
+                LogRecord::End => break,
+                LogRecord::Torn => {
                     torn = true;
-                    break 'scan;
+                    break;
                 }
-                blknos.push(b);
+                LogRecord::Committed { writes, .. } => {
+                    off += 2 + writes.len() as u64;
+                    expected += 1;
+                    replay.push(writes);
+                }
             }
-
-            // Commit record must match.
-            let mut commit = vec![0u8; bs];
-            dev.read_block(start + 1 + off + 1 + count, &mut commit)?;
-            if u32::from_le_bytes(commit[0..4].try_into().expect("4 bytes")) != COMMIT_MAGIC
-                || u64::from_le_bytes(commit[4..12].try_into().expect("8 bytes")) != expected
-                || u64::from_le_bytes(commit[12..20].try_into().expect("8 bytes")) != claimed
-            {
-                torn = true;
-                break;
-            }
-
-            // Verify the payload checksum.
-            let mut payload = Vec::with_capacity(count as usize);
-            for i in 0..count {
-                let mut data = vec![0u8; bs];
-                dev.read_block(start + 1 + off + 1 + i, &mut data)?;
-                payload.push(data);
-            }
-            let seq_bytes = expected.to_le_bytes();
-            let blkno_bytes: Vec<u8> = blknos.iter().flat_map(|b| b.to_le_bytes()).collect();
-            let mut chunks: Vec<&[u8]> = vec![&seq_bytes, &blkno_bytes];
-            for p in &payload {
-                chunks.push(p.as_slice());
-            }
-            if fnv1a(&chunks) != claimed {
-                torn = true;
-                break;
-            }
-
-            replay.push((blknos, payload));
-            expected += 1;
-            off += 2 + count;
         }
 
         if replay.is_empty() {
@@ -1128,11 +1129,9 @@ impl Journal {
 
         // Replay in sequence order, then retire the whole run.
         let mut blocks_replayed = 0;
-        for (blknos, payload) in &replay {
-            for (blkno, data) in blknos.iter().zip(payload.iter()) {
-                dev.write_block(*blkno, data)?;
-                blocks_replayed += 1;
-            }
+        for (blkno, data) in replay.iter().flatten() {
+            dev.write_block(*blkno, data)?;
+            blocks_replayed += 1;
         }
         dev.flush()?;
         Self::write_jsb(dev, start, expected, off)?;
@@ -1430,12 +1429,8 @@ mod tests {
         // A descriptor with the expected sequence but no commit record is
         // a torn transaction and must be discarded.
         let bs = BLOCK_SIZE;
-        let mut desc = vec![0u8; bs];
-        desc[0..4].copy_from_slice(&DESC_MAGIC.to_le_bytes());
-        desc[4..12].copy_from_slice(&1u64.to_le_bytes());
-        desc[12..16].copy_from_slice(&1u32.to_le_bytes());
-        desc[16..24].copy_from_slice(&3u64.to_le_bytes());
-        crash.write_block(JSTART + 1, &desc).unwrap();
+        let record = encode_record(1, &[(3, img(9))], bs);
+        crash.write_block(JSTART + 1, &record[..bs]).unwrap();
         crash.flush().unwrap();
         // Home block untouched; recovery must discard the torn txn.
         let ram_dyn: Arc<dyn BlockDevice> = ram;
@@ -1509,6 +1504,106 @@ mod tests {
         assert_eq!(out[0], 0, "failed commit never half-applied");
         ram_dyn.read_block(5, &mut out).unwrap();
         assert_eq!(out[0], 0, "refused commit never applied");
+    }
+
+    /// The errno contract at the stage/wait seam: every committer whose
+    /// batch failed reports the batch's `EIO`; a committer joining after
+    /// the abort, and `commit_running`, report `EROFS`.
+    #[test]
+    fn committers_sharing_a_failed_batch_all_get_eio() {
+        use sk_ksim::block::{DiskFaultConfig, FaultyDisk};
+        let faulty = Arc::new(FaultyDisk::new(
+            RamDisk::new(64),
+            DiskFaultConfig::default(),
+            0,
+        ));
+        let dev: Arc<dyn BlockDevice> = Arc::clone(&faulty) as Arc<dyn BlockDevice>;
+        Journal::format(&dev, JSTART, JBLOCKS).unwrap();
+        let j = Journal::open(Arc::clone(&dev), JSTART, JBLOCKS).unwrap();
+        let older = j.begin_op();
+        let younger = j.begin_op();
+        faulty.fail_nth_write(1);
+        std::thread::scope(|s| {
+            let leader = s.spawn(|| younger.commit(vec![(4, img(2))]));
+            // The younger committer stages and leads in one hold of the
+            // group lock, then waits inside lead() for the older hand-in:
+            // once its member is visible, the batch will hold both.
+            while j.staged_ops() == 0 {
+                std::thread::yield_now();
+            }
+            assert_eq!(older.commit(vec![(3, img(1))]), Err(Errno::EIO));
+            assert_eq!(leader.join().unwrap(), Err(Errno::EIO));
+        });
+        assert!(j.is_aborted());
+        assert_eq!(j.stats().batches, 0);
+        assert_eq!(j.commit(&[(5, img(3))]), Err(Errno::EROFS));
+        assert_eq!(j.commit_running(), Err(Errno::EROFS));
+    }
+
+    /// A commit whose own staging trips the log-pressure commit is in the
+    /// batch that commit writes: a failed record write reports `EIO`.
+    #[test]
+    fn commit_in_its_own_failed_pressure_batch_gets_eio() {
+        use sk_ksim::block::{DiskFaultConfig, FaultyDisk};
+        let faulty = Arc::new(FaultyDisk::new(
+            RamDisk::new(64),
+            DiskFaultConfig::default(),
+            0,
+        ));
+        let dev: Arc<dyn BlockDevice> = Arc::clone(&faulty) as Arc<dyn BlockDevice>;
+        Journal::format(&dev, JSTART, JBLOCKS).unwrap();
+        let j = Journal::open(Arc::clone(&dev), JSTART, JBLOCKS).unwrap();
+        // Capacity is 5 (JBLOCKS = 8): four staged blocks plus the
+        // commit's fifth fill the record.
+        for i in 0..4u64 {
+            j.begin_op().stage(vec![(3 + i, img(1))]).unwrap();
+        }
+        faulty.fail_nth_write(1);
+        assert_eq!(j.commit(&[(7, img(2))]), Err(Errno::EIO));
+        assert_eq!(j.stats().pressure_commits, 1);
+        assert!(j.is_aborted());
+        assert_eq!(j.commit_running(), Err(Errno::EROFS));
+    }
+
+    /// Regression: one descriptor names at most `desc_slots` blocks, so
+    /// record capacity must not exceed it even when the log area could
+    /// hold more. Uncapped, a 1024-block journal merged 600 staged
+    /// blocks into one record and indexed past the descriptor block.
+    #[test]
+    fn record_capacity_is_capped_by_the_descriptor() {
+        let dev: Arc<dyn BlockDevice> = Arc::new(RamDisk::new(2048));
+        Journal::format(&dev, 1024, 1024).unwrap();
+        let j = Journal::open(Arc::clone(&dev), 1024, 1024).unwrap();
+        assert_eq!(j.capacity(), desc_slots(BLOCK_SIZE));
+        for b in 0..600u64 {
+            j.begin_op().stage(vec![(b, img(b as u8))]).unwrap();
+        }
+        j.commit_running().unwrap();
+        drop(j);
+        assert_eq!(
+            Journal::recover(&dev, 1024, 1024).unwrap(),
+            RecoveryOutcome::Replayed { blocks: 600 }
+        );
+        let mut out = vec![0u8; BLOCK_SIZE];
+        dev.read_block(599, &mut out).unwrap();
+        assert_eq!(out[0], 599u64 as u8);
+    }
+
+    /// Regression: a descriptor whose count exceeds the descriptor's slots
+    /// but still fits the log area is torn, not an index past the block.
+    #[test]
+    fn overfull_descriptor_count_is_torn() {
+        let dev: Arc<dyn BlockDevice> = Arc::new(RamDisk::new(2048));
+        Journal::format(&dev, 1024, 1024).unwrap();
+        let mut desc = vec![0u8; BLOCK_SIZE];
+        desc[0..4].copy_from_slice(&DESC_MAGIC.to_le_bytes());
+        desc[4..12].copy_from_slice(&1u64.to_le_bytes());
+        desc[12..16].copy_from_slice(&600u32.to_le_bytes());
+        dev.write_block(1024 + 1, &desc).unwrap();
+        assert_eq!(
+            Journal::recover(&dev, 1024, 1024).unwrap(),
+            RecoveryOutcome::DiscardedTorn
+        );
     }
 
     /// An `EIO` during checkpoint's home writes must not retire the

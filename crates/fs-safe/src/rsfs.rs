@@ -76,9 +76,11 @@ const ICACHE_SHARDS: usize = 8;
 pub struct Rsfs {
     cache: Arc<BufferCache>,
     journal: Option<Journal>,
-    /// The mount's journal mode; decides whether `Txn::commit` waits for
-    /// the journal barrier (`PerOp`) or stages into the running
-    /// transaction (`Async`).
+    /// The mount's journal mode. Its only effect on the commit path:
+    /// `Txn::commit` calls `OpHandle::commit` under `PerOp` (stage into
+    /// the running transaction, then wait for the journal's durability
+    /// watermark to pass the op) and `OpHandle::stage` under `Async`
+    /// (stage and return).
     mode: JournalMode,
     sb: Superblock,
     /// Per-inode-striped op locks serializing the *staging* phase of
