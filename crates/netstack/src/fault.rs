@@ -182,14 +182,14 @@ impl Link for FaultyLink {
             Side::A => &mut inner.a_to_b,
             Side::B => &mut inner.b_to_a,
         };
-        queue.push(Held {
-            release_at,
-            frame: frame.clone(),
-        });
         if dup {
             inner.stats.duplicated += 1;
-            queue.push(Held { release_at, frame });
+            queue.push(Held {
+                release_at,
+                frame: frame.clone(),
+            });
         }
+        queue.push(Held { release_at, frame });
         if reorder && queue.len() >= 2 {
             inner.stats.reordered += 1;
             self.stream.emit(format!("reorder side={}", side_tag(side)));

@@ -9,10 +9,16 @@
 //!
 //! Decoding is strict: short frames, bad lengths, unknown protocol
 //! numbers, and checksum mismatches are `EBADMSG`, never a sliced-anyway
-//! read. The checksum (FNV-1a over header fields and payload) is what
-//! turns a corrupting link into a *detected* loss: a flipped bit anywhere
-//! in the frame fails verification and the frame is dropped, so TCP's
-//! retransmission machinery heals it instead of delivering garbage.
+//! read. The checksum is what turns a corrupting link into a *detected*
+//! loss: a flipped bit anywhere in the frame fails verification and the
+//! frame is dropped, so TCP's retransmission machinery heals it instead
+//! of delivering garbage.
+//!
+//! The checksum is FNV-1a fed a 32-bit word at a time and dealt over four
+//! independent lanes, so its work is not one serial chain of multiplies
+//! per byte. Every step is a bijection in the word it takes and in the
+//! state it carries, so no single flipped bit can leave it unchanged
+//! (the argument is on the private `checksum` function).
 
 use sk_ksim::errno::{Errno, KResult};
 
@@ -43,6 +49,69 @@ pub const HEADER_LEN: usize = 20;
 
 /// Maximum payload per packet (the wire MTU minus headers).
 pub const MAX_PAYLOAD: usize = 1000;
+
+/// Offset of the checksum field: the 16 header bytes before it (proto,
+/// flags, ports, len, seq, ack) are the ones the checksum covers.
+const CSUM_OFF: usize = 16;
+
+/// Independent FNV lanes the checksum deals words over.
+const LANES: usize = 4;
+
+/// Bytes the lanes absorb per round: one 32-bit word each.
+const CHUNK: usize = LANES * 4;
+
+const FNV_BASIS: u32 = 0x811c_9dc5;
+const FNV_PRIME: u32 = 0x0100_0193;
+
+/// One FNV-1a step over a 32-bit word. Xor and then multiplying by an
+/// odd constant mod 2^32 are both invertible, so the step is a bijection
+/// in `w` for a fixed `h`, and in `h` for a fixed `w`.
+#[inline(always)]
+fn step(h: u32, w: u32) -> u32 {
+    (h ^ w).wrapping_mul(FNV_PRIME)
+}
+
+/// Folds one chunk into the lanes: little-endian word `i` of the chunk
+/// goes to lane `i`.
+#[inline(always)]
+fn absorb(lanes: &mut [u32; LANES], chunk: &[u8; CHUNK]) {
+    for (i, lane) in lanes.iter_mut().enumerate() {
+        let w = u32::from_le_bytes(chunk[4 * i..4 * i + 4].try_into().expect("4 bytes"));
+        *lane = step(*lane, w);
+    }
+}
+
+/// The frame checksum over the 16 header bytes that precede the checksum
+/// field (`head`) and the payload.
+///
+/// Both are read as little-endian `u32` words and dealt round-robin over
+/// [`LANES`] independent FNV-1a lanes, one [`step`] per word, with the
+/// last partial chunk zero-padded. The lanes are then folded into one
+/// word with the same step. The lanes do not depend on each other, so
+/// the CPU overlaps their multiplies.
+///
+/// Zero padding cannot make a frame alias a longer one, because the
+/// payload length is part of `head`. Every single-bit flip is detected:
+/// the flip changes exactly one word, so exactly one lane. Since [`step`]
+/// is a bijection in the word it takes and in the state it carries, that
+/// lane's final value changes while the others keep theirs, and the fold,
+/// again a chain of bijections, changes too. A flip inside the stored
+/// checksum field changes the stored value instead of the computed one.
+fn checksum(head: &[u8; CSUM_OFF], payload: &[u8]) -> u32 {
+    let mut lanes = [FNV_BASIS; LANES];
+    absorb(&mut lanes, head);
+    let mut chunks = payload.chunks_exact(CHUNK);
+    for chunk in &mut chunks {
+        absorb(&mut lanes, chunk.try_into().expect("exact chunk"));
+    }
+    let tail = chunks.remainder();
+    if !tail.is_empty() {
+        let mut last = [0u8; CHUNK];
+        last[..tail.len()].copy_from_slice(tail);
+        absorb(&mut lanes, &last);
+    }
+    lanes.into_iter().fold(FNV_BASIS, step)
+}
 
 /// A network packet.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -77,43 +146,19 @@ impl Packet {
         }
     }
 
-    /// FNV-1a over everything but the checksum field itself.
-    fn checksum(&self) -> u32 {
-        let mut h: u32 = 0x811c_9dc5;
-        let mut mix = |b: u8| {
-            h ^= u32::from(b);
-            h = h.wrapping_mul(0x0100_0193);
-        };
-        mix(self.proto);
-        mix(self.flags);
-        for b in self
-            .src_port
-            .to_le_bytes()
-            .into_iter()
-            .chain(self.dst_port.to_le_bytes())
-            .chain((self.payload.len() as u16).to_le_bytes())
-            .chain(self.seq.to_le_bytes())
-            .chain(self.ack.to_le_bytes())
-        {
-            mix(b);
-        }
-        for &b in &self.payload {
-            mix(b);
-        }
-        h
-    }
-
     /// Serializes to wire bytes.
     pub fn encode(&self) -> Vec<u8> {
+        let mut head = [0u8; CSUM_OFF];
+        head[0] = self.proto;
+        head[1] = self.flags;
+        head[2..4].copy_from_slice(&self.src_port.to_le_bytes());
+        head[4..6].copy_from_slice(&self.dst_port.to_le_bytes());
+        head[6..8].copy_from_slice(&(self.payload.len() as u16).to_le_bytes());
+        head[8..12].copy_from_slice(&self.seq.to_le_bytes());
+        head[12..16].copy_from_slice(&self.ack.to_le_bytes());
         let mut out = Vec::with_capacity(HEADER_LEN + self.payload.len());
-        out.push(self.proto);
-        out.push(self.flags);
-        out.extend_from_slice(&self.src_port.to_le_bytes());
-        out.extend_from_slice(&self.dst_port.to_le_bytes());
-        out.extend_from_slice(&(self.payload.len() as u16).to_le_bytes());
-        out.extend_from_slice(&self.seq.to_le_bytes());
-        out.extend_from_slice(&self.ack.to_le_bytes());
-        out.extend_from_slice(&self.checksum().to_le_bytes());
+        out.extend_from_slice(&head);
+        out.extend_from_slice(&checksum(&head, &self.payload).to_le_bytes());
         out.extend_from_slice(&self.payload);
         out
     }
@@ -131,7 +176,12 @@ impl Packet {
         if !matches!(proto, proto::TCP | proto::UDP | proto::AMP_CTRL) {
             return Err(Errno::EPROTONOSUPPORT);
         }
-        let pkt = Packet {
+        let csum = u32::from_le_bytes(bytes[16..20].try_into().expect("4 bytes"));
+        let head = bytes[..CSUM_OFF].try_into().expect("16 bytes");
+        if csum != checksum(head, &bytes[HEADER_LEN..]) {
+            return Err(Errno::EBADMSG);
+        }
+        Ok(Packet {
             proto,
             flags: bytes[1],
             src_port: u16::from_le_bytes(bytes[2..4].try_into().expect("2 bytes")),
@@ -139,12 +189,7 @@ impl Packet {
             seq: u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes")),
             ack: u32::from_le_bytes(bytes[12..16].try_into().expect("4 bytes")),
             payload: bytes[HEADER_LEN..].to_vec(),
-        };
-        let csum = u32::from_le_bytes(bytes[16..20].try_into().expect("4 bytes"));
-        if csum != pkt.checksum() {
-            return Err(Errno::EBADMSG);
-        }
-        Ok(pkt)
+        })
     }
 }
 
@@ -191,18 +236,68 @@ mod tests {
 
     #[test]
     fn single_bit_flip_anywhere_is_detected() {
+        // Every partial-word and partial-lane tail (0..=33), plus the
+        // largest frames.
+        for len in (0..=33).chain([MAX_PAYLOAD - 1, MAX_PAYLOAD]) {
+            let mut p = Packet::new(proto::TCP, 80, 1234);
+            p.flags = flags::SYN;
+            p.seq = 42;
+            p.payload = (0..len).map(|i| (i * 7 + 3) as u8).collect();
+            let clean = p.encode();
+            for byte in 0..clean.len() {
+                for bit in 0..8 {
+                    let mut dirty = clean.clone();
+                    dirty[byte] ^= 1 << bit;
+                    assert!(
+                        Packet::decode(&dirty).is_err(),
+                        "len {len}: flip at byte {byte} bit {bit} went undetected"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn checksum_known_answer() {
+        // Pins the wire format: header layout, lane construction, zero
+        // padding of the 5-byte tail, and the fold.
         let mut p = Packet::new(proto::TCP, 80, 1234);
-        p.flags = flags::SYN;
-        p.seq = 42;
-        p.payload = b"checksummed".to_vec();
-        let clean = p.encode();
-        for byte in 0..clean.len() {
-            for bit in 0..8 {
-                let mut dirty = clean.clone();
-                dirty[byte] ^= 1 << bit;
-                assert!(
-                    Packet::decode(&dirty).is_err(),
-                    "flip at byte {byte} bit {bit} went undetected"
+        p.flags = flags::SYN | flags::ACK;
+        p.seq = 0xDEAD_BEEF;
+        p.ack = 0x0102_0304;
+        p.payload = b"known-answer frame!!!".to_vec();
+        let bytes = p.encode();
+        assert_eq!(
+            bytes[..HEADER_LEN],
+            [
+                6, 0x03, 80, 0, 0xD2, 0x04, 21, 0, 0xEF, 0xBE, 0xAD, 0xDE, 4, 3, 2, 1, 0xF8, 0x90,
+                0xD2, 0xE8
+            ]
+        );
+        assert_eq!(bytes[HEADER_LEN..], p.payload[..]);
+        let empty = Packet::new(proto::UDP, 5, 6).encode();
+        assert_eq!(empty[CSUM_OFF..], 0xC326_09ACu32.to_le_bytes());
+    }
+
+    #[test]
+    fn appended_zeros_with_patched_len_are_rejected() {
+        // Zero padding inside the checksum must not let a frame pass as
+        // a longer one that ends in zeros.
+        for len in [0, 1, 3, 4, 15, 16, 17, 31, 32, 997] {
+            let mut p = Packet::new(proto::TCP, 80, 1234);
+            p.payload = vec![0xA5; len];
+            let clean = p.encode();
+            for extra in 1..=33 {
+                if len + extra > MAX_PAYLOAD {
+                    break;
+                }
+                let mut forged = clean.clone();
+                forged.resize(clean.len() + extra, 0);
+                forged[6..8].copy_from_slice(&((len + extra) as u16).to_le_bytes());
+                assert_eq!(
+                    Packet::decode(&forged),
+                    Err(Errno::EBADMSG),
+                    "len {len} + {extra} zero bytes passed"
                 );
             }
         }

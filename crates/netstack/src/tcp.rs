@@ -496,14 +496,14 @@ impl TcpPcb {
         }
     }
 
-    fn absorb_payload(&mut self, seq: u32, payload: Vec<u8>) {
+    fn absorb_payload(&mut self, seq: u32, payload: &[u8]) {
         if payload.is_empty() {
             return;
         }
         let end = seq.wrapping_add(payload.len() as u32);
         if seq == self.rcv_nxt {
             self.rcv_nxt = end;
-            self.recv_ready.extend_from_slice(&payload);
+            self.recv_ready.extend_from_slice(payload);
             self.drain_ooo();
         } else if seq_lt(self.rcv_nxt, seq) {
             if self.ooo.len() >= OOO_BUDGET && !self.ooo.contains_key(&seq) {
@@ -511,7 +511,7 @@ impl TcpPcb {
                 self.counters.ooo_purged += 1;
                 return;
             }
-            if self.ooo.insert(seq, payload).is_none() {
+            if self.ooo.insert(seq, payload.to_vec()).is_none() {
                 self.counters.ooo_buffered += 1;
             }
         } else if seq_lt(self.rcv_nxt, end) {
@@ -572,7 +572,7 @@ impl TcpPcb {
                     self.process_ack(pkt.ack);
                     self.state = TcpState::Established;
                     // Fall through into data handling for piggybacked data.
-                    self.absorb_payload(pkt.seq, pkt.payload.clone());
+                    self.absorb_payload(pkt.seq, &pkt.payload);
                     if !pkt.payload.is_empty() {
                         out.push(self.mk(flags::ACK));
                     }
@@ -592,7 +592,7 @@ impl TcpPcb {
                 }
                 let had_payload = !pkt.payload.is_empty();
                 let in_order = had_payload && pkt.seq == self.rcv_nxt;
-                self.absorb_payload(pkt.seq, pkt.payload.clone());
+                self.absorb_payload(pkt.seq, &pkt.payload);
                 if pkt.flags & flags::FIN != 0 && pkt.seq == self.rcv_nxt {
                     self.rcv_nxt = self.rcv_nxt.wrapping_add(1);
                     match self.state {

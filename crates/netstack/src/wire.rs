@@ -126,10 +126,10 @@ impl Wire {
             Side::A => &mut inner.a_to_b,
             Side::B => &mut inner.b_to_a,
         };
-        queue.push_back(frame.clone());
         if dup {
-            queue.push_back(frame);
+            queue.push_back(frame.clone());
         }
+        queue.push_back(frame);
     }
 
     /// Receives the next frame destined for `side`, decoded.
