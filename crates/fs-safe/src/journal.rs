@@ -33,7 +33,10 @@
 //! count, home block numbers, checksum in the last eight bytes), the
 //! payload blocks, and a commit block (magic, seq, checksum). Exactly one
 //! encode/parse pair (`encode_record`, `read_record`) knows the
-//! layout; the writer, recovery, and fsck all go through it.
+//! layout; the writer, recovery, and fsck all go through it. The checksum
+//! (seq, home blknos, payloads) is the 64-bit [`sk_ksim::lanehash`]: word
+//! speed over eight independent lanes, and still sure to catch every
+//! single flipped bit.
 //!
 //! **Deferred checkpoint.** `commit` returns once the journal record is
 //! durable; home-location writes are deferred. [`Journal::checkpoint`]
@@ -79,6 +82,7 @@ use std::sync::Arc;
 use parking_lot::{Condvar, Mutex};
 use sk_ksim::block::BlockDevice;
 use sk_ksim::errno::{Errno, KResult};
+use sk_ksim::lanehash::LaneHash;
 use sk_ksim::lock::{LockRegistry, TrackedMutex, TrackedMutexGuard};
 
 /// Journal-superblock magic.
@@ -88,31 +92,25 @@ pub const DESC_MAGIC: u32 = 0x4A_4453; // "JDS"
 /// Commit-record magic.
 pub const COMMIT_MAGIC: u32 = 0x4A_434D; // "JCM"
 
-/// FNV-1a 64-bit, the journal's payload checksum.
-pub fn fnv1a(chunks: &[&[u8]]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for chunk in chunks {
-        for &b in *chunk {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    h
-}
-
 /// Home block numbers one descriptor block can name: the block less its
 /// 16-byte header (magic, seq, count) and 8-byte trailing checksum.
 pub(crate) fn desc_slots(bs: usize) -> usize {
     (bs - 24) / 8
 }
 
-/// The record checksum: FNV-1a over seq, home blknos, and payload bytes.
+/// The record checksum: a 64-bit [`LaneHash`] over the header words (seq,
+/// home blknos), then over each payload, every segment padded to a round
+/// on its own (the count and block size fix where each ends). It catches
+/// every single flipped bit; the argument is in [`sk_ksim::lanehash`].
 fn record_checksum(seq: u64, writes: &[(u64, Vec<u8>)]) -> u64 {
-    let seq_bytes = seq.to_le_bytes();
-    let blkno_bytes: Vec<u8> = writes.iter().flat_map(|(b, _)| b.to_le_bytes()).collect();
-    let mut chunks: Vec<&[u8]> = vec![&seq_bytes, &blkno_bytes];
-    chunks.extend(writes.iter().map(|(_, data)| data.as_slice()));
-    fnv1a(&chunks)
+    let head: Vec<u8> = std::iter::once(seq)
+        .chain(writes.iter().map(|(b, _)| *b))
+        .flat_map(u64::to_le_bytes)
+        .collect();
+    let mut h = LaneHash::<u64>::default();
+    h.absorb(&head);
+    writes.iter().for_each(|(_, data)| h.absorb(data));
+    h.finish()
 }
 
 /// Encodes one journal record — descriptor, payload, commit block — as
@@ -1755,6 +1753,139 @@ mod tests {
         ram.write_block(JSTART + 2, &payload).unwrap();
         let outcome = Journal::recover(&dev, JSTART, JBLOCKS).unwrap();
         assert_eq!(outcome, RecoveryOutcome::DiscardedTorn);
+    }
+
+    /// Pins the record checksum: lane construction, header padding,
+    /// and the fold. The values come from an independent Python model of
+    /// the construction, not from this code.
+    #[test]
+    fn record_checksum_known_answer() {
+        let pattern = |mul: usize, add: usize| -> Vec<u8> {
+            (0..BLOCK_SIZE)
+                .map(|i| ((i * mul + add) & 0xff) as u8)
+                .collect()
+        };
+        assert_eq!(
+            record_checksum(
+                0x0123_4567_89ab_cdef,
+                &[(3, pattern(7, 1)), (1000, pattern(13, 5))]
+            ),
+            0x9542_8e6d_a3d0_3d1d
+        );
+        assert_eq!(record_checksum(1, &[(7, img(0))]), 0xcf56_31e6_4bde_77ee);
+        assert_eq!(
+            record_checksum(42, &[(5, b"abcde".to_vec())]),
+            0xf054_f252_eb72_20b6
+        );
+    }
+
+    /// The two 512-byte home-block images of [`two_block_record`].
+    fn two_block_writes() -> Vec<(u64, Vec<u8>)> {
+        (0..2u64)
+            .map(|b| (3 + b, (0..512).map(|i| (i as u64 * 31 + b) as u8).collect()))
+            .collect()
+    }
+
+    /// Writes a 2-block record (seq 9) at log offset 0 of a
+    /// 512-byte-block journal and returns the device and the record's
+    /// first block.
+    fn two_block_record() -> (Arc<RamDisk>, u64) {
+        use sk_ksim::time::SimClock;
+        let bs = 512;
+        let ram = Arc::new(RamDisk::with_geometry(64, bs, Arc::new(SimClock::new())));
+        let record = encode_record(9, &two_block_writes(), bs);
+        for (i, block) in record.chunks_exact(bs).enumerate() {
+            ram.write_block(JSTART + 1 + i as u64, block).unwrap();
+        }
+        (ram, JSTART + 1)
+    }
+
+    /// Flips each `(block, bit)`, reads the record back, and restores the
+    /// blocks; true if the record read back torn.
+    fn flips_read_torn(ram: &RamDisk, flips: &[(u64, usize)]) -> bool {
+        let toggle = || {
+            for &(blk, bit) in flips {
+                let mut buf = vec![0u8; ram.block_size()];
+                ram.read_block(blk, &mut buf).unwrap();
+                buf[bit / 8] ^= 1 << (bit % 8);
+                ram.write_block(blk, &buf).unwrap();
+            }
+        };
+        toggle();
+        let torn = matches!(
+            read_record(ram, JSTART, JBLOCKS, 0, |_| true),
+            Ok(LogRecord::Torn)
+        );
+        toggle();
+        torn
+    }
+
+    #[test]
+    fn every_single_bit_flip_in_a_record_reads_torn() {
+        let (ram, desc) = two_block_record();
+        let commit = desc + 3;
+        assert!(matches!(
+            read_record(ram.as_ref(), JSTART, JBLOCKS, 0, |_| true),
+            Ok(LogRecord::Committed { seq: 9, .. })
+        ));
+        // A seq flip in the descriptor alone fails the commit block's seq
+        // compare; flipped in both, only the checksum can catch it.
+        for bit in 4 * 8..12 * 8 {
+            assert!(flips_read_torn(&ram, &[(desc, bit)]), "seq bit {bit}");
+            assert!(
+                flips_read_torn(&ram, &[(desc, bit), (commit, bit)]),
+                "seq bit {bit} in both blocks"
+            );
+        }
+        for bit in 16 * 8..32 * 8 {
+            assert!(flips_read_torn(&ram, &[(desc, bit)]), "blkno bit {bit}");
+        }
+        for blk in [desc + 1, desc + 2] {
+            for bit in 0..ram.block_size() * 8 {
+                assert!(
+                    flips_read_torn(&ram, &[(blk, bit)]),
+                    "block {blk} bit {bit}"
+                );
+            }
+        }
+    }
+
+    /// A high blkno bit flipped on the device already fails the
+    /// inside-the-journal check, so the checksum's own cover of every
+    /// seq and blkno bit is checked on the function.
+    #[test]
+    fn record_checksum_covers_every_seq_and_blkno_bit() {
+        let writes = two_block_writes();
+        let want = record_checksum(9, &writes);
+        for bit in 0..64 {
+            assert_ne!(
+                record_checksum(9 ^ (1 << bit), &writes),
+                want,
+                "seq bit {bit}"
+            );
+            for i in 0..writes.len() {
+                let mut w = writes.clone();
+                w[i].0 ^= 1 << bit;
+                assert_ne!(record_checksum(9, &w), want, "blkno {i} bit {bit}");
+            }
+        }
+    }
+
+    /// Bit 63 of payload words 0 and 8 both feed lane 0; a bare
+    /// xor-then-multiply lane step would let the second flip cancel the
+    /// first (see `sk_ksim::lanehash`).
+    #[test]
+    fn top_bit_flips_one_lane_round_apart_read_torn() {
+        let (ram, desc) = two_block_record();
+        for (first, second) in [(0, 8), (5, 13), (55, 63)] {
+            assert!(
+                flips_read_torn(
+                    &ram,
+                    &[(desc + 1, first * 64 + 63), (desc + 1, second * 64 + 63)]
+                ),
+                "words {first} and {second}"
+            );
+        }
     }
 
     #[test]

@@ -140,6 +140,8 @@ struct Txn<'a> {
     /// Merged into the *current* table-block content at commit, under
     /// the per-table-block publish locks.
     inode_updates: BTreeMap<InodeNo, DiskInode>,
+    /// `inode_updates` slots per table block: an O(1) chunk cut ([`Txn::staged_blocks`]).
+    table_slots: BTreeMap<u64, usize>,
     /// Held op-lock stripes, ascending by stripe index.
     stripes: Vec<(usize, TrackedMutexGuard<'a, ()>)>,
     /// The allocator lock, taken lazily at the first bitmap touch
@@ -166,6 +168,7 @@ impl<'a> Txn<'a> {
             fs,
             writes: BTreeMap::new(),
             inode_updates: BTreeMap::new(),
+            table_slots: BTreeMap::new(),
             stripes: Vec::new(),
             alloc_guard: None,
             undo: None,
@@ -273,14 +276,7 @@ impl<'a> Txn<'a> {
                 }
             }
             for (ino, prior) in undo.inodes.into_iter().rev() {
-                match prior {
-                    Some(di) => {
-                        self.inode_updates.insert(ino, di);
-                    }
-                    None => {
-                        self.inode_updates.remove(&ino);
-                    }
-                }
+                self.stage_inode(ino, prior);
             }
         }
         r
@@ -306,6 +302,36 @@ impl<'a> Txn<'a> {
         self.writes.insert(blkno, data);
     }
 
+    /// Stages (`Some`) or unstages (`None`) the slot of `ino`; keeps `table_slots` in step.
+    fn stage_inode(&mut self, ino: InodeNo, di: Option<DiskInode>) {
+        let blk = INODE_TABLE + ino / INODES_PER_BLOCK as u64;
+        let had = match di {
+            Some(di) => self.inode_updates.insert(ino, di),
+            None => self.inode_updates.remove(&ino),
+        };
+        let n = self.table_slots.entry(blk).or_insert(0);
+        *n = *n + usize::from(di.is_some()) - usize::from(had.is_some());
+        if *n == 0 {
+            self.table_slots.remove(&blk);
+        }
+    }
+
+    /// Blocks this transaction would journal: staged block images plus
+    /// one whole-block image per touched inode-table block. The batch
+    /// path cuts chunks against this, so a chunk never outgrows one
+    /// journal record.
+    fn staged_blocks(&self) -> usize {
+        debug_assert!(self
+            .inode_updates
+            .keys()
+            .map(|&i| INODE_TABLE + i / INODES_PER_BLOCK as u64)
+            .eq(self
+                .table_slots
+                .iter()
+                .flat_map(|(&b, &n)| std::iter::repeat_n(b, n))));
+        self.writes.len() + self.table_slots.len()
+    }
+
     /// Commits the staged writes atomically.
     ///
     /// With a journal, this is the jbd2-style group-commit path:
@@ -322,26 +348,6 @@ impl<'a> Txn<'a> {
     /// writeback can never race it into regressing a home block past a
     /// newer committed image.
     ///
-    /// Distinct inode-table blocks touched by staged inode updates,
-    /// ascending (BTreeMap keys are already sorted).
-    fn table_blocks(&self) -> Vec<u64> {
-        let mut blks: Vec<u64> = self
-            .inode_updates
-            .keys()
-            .map(|&ino| INODE_TABLE + ino / INODES_PER_BLOCK as u64)
-            .collect();
-        blks.dedup();
-        blks
-    }
-
-    /// Blocks this transaction would journal: staged block images plus
-    /// one whole-block image per touched inode-table block. The batch
-    /// path cuts chunks against this, so a chunk never outgrows one
-    /// journal record.
-    fn staged_blocks(&self) -> usize {
-        self.writes.len() + self.table_blocks().len()
-    }
-
     /// Without a journal the images just dirty the cache.
     fn commit(mut self) -> KResult<()> {
         if self.writes.is_empty() && self.inode_updates.is_empty() {
@@ -356,7 +362,7 @@ impl<'a> Txn<'a> {
         // image contains — a journaled image at token t holds exactly
         // the slot updates of transactions with tokens ≤ t, so recovery
         // to any token prefix is consistent.
-        let tblks = self.table_blocks();
+        let tblks: Vec<u64> = self.table_slots.keys().copied().collect();
         let mut pub_guards: Vec<TrackedMutexGuard<'_, ()>> = Vec::with_capacity(tblks.len());
         for &blk in &tblks {
             pub_guards.push(self.fs.inopub_locks[(blk - INODE_TABLE) as usize].lock());
@@ -365,11 +371,13 @@ impl<'a> Txn<'a> {
         for &blk in &tblks {
             let buf = self.fs.cache.bread(blk)?;
             let mut img = buf.read(|d| d.to_vec());
-            for (&ino, di) in &self.inode_updates {
-                if INODE_TABLE + ino / INODES_PER_BLOCK as u64 == blk {
-                    let slot = (ino % INODES_PER_BLOCK as u64) as usize * INODE_SIZE;
-                    di.encode(&mut img[slot..slot + INODE_SIZE]);
-                }
+            let first = (blk - INODE_TABLE) * INODES_PER_BLOCK as u64;
+            for (&ino, di) in self
+                .inode_updates
+                .range(first..first + INODES_PER_BLOCK as u64)
+            {
+                let slot = (ino - first) as usize * INODE_SIZE;
+                di.encode(&mut img[slot..slot + INODE_SIZE]);
             }
             table_imgs.push((blk, img));
         }
@@ -494,7 +502,7 @@ impl<'a> Txn<'a> {
                     .push((ino, self.inode_updates.get(&ino).copied()));
             }
         }
-        self.inode_updates.insert(ino, *di);
+        self.stage_inode(ino, Some(*di));
         Ok(())
     }
 
@@ -1998,6 +2006,29 @@ mod tests {
         );
         let d = fs.mkdir(ROOT_INO, "d").unwrap();
         assert_eq!(fs.write_begin(d, 0, 1).unwrap_err(), Errno::EISDIR);
+    }
+
+    /// The per-table-block slot counts behind the chunk cut follow
+    /// staging and an op's rollback (`staged_blocks` also checks them
+    /// against a recount in debug builds).
+    #[test]
+    fn staged_table_blocks_follow_staging_and_rollback() {
+        let fs = mount(JournalMode::PerOp);
+        let mut txn = Txn::new(&fs);
+        let di = txn.read_inode(ROOT_INO).unwrap();
+        let next_block = INODES_PER_BLOCK as u64 + 1;
+        txn.op_scope(|t| t.write_inode(2, &di)).unwrap();
+        assert_eq!(txn.staged_blocks(), 1);
+        let failed: KResult<()> = txn.op_scope(|t| {
+            t.write_inode(3, &di)?;
+            t.write_inode(next_block, &di)?;
+            t.write_inode(2, &di)?;
+            assert_eq!(t.staged_blocks(), 2);
+            Err(Errno::EIO)
+        });
+        assert_eq!(failed, Err(Errno::EIO));
+        assert_eq!(txn.staged_blocks(), 1);
+        assert_eq!(txn.table_slots, BTreeMap::from([(INODE_TABLE, 1)]));
     }
 
     #[test]

@@ -603,9 +603,15 @@ impl BufferCache {
     /// asked for, while the "head" is in the neighbourhood. A block
     /// continues whichever stream it extends; otherwise it starts a new
     /// stream in a round-robin slot. The prefetch run is issued as one
-    /// vectored [`BlockDevice::read_blocks`] extent.
+    /// vectored [`BlockDevice::read_blocks`] extent. With readahead off
+    /// it returns before touching the process-wide stream state, so a
+    /// `bread` takes no global lock; streams are tracked from the first
+    /// reads after [`BufferCache::set_readahead`].
     fn maybe_readahead(&self, blkno: u64) -> KResult<()> {
         let depth = self.readahead.load(Ordering::Relaxed);
+        if depth == 0 {
+            return Ok(());
+        }
         let sequential = {
             let mut ra = self.ra.lock();
             match ra
@@ -625,7 +631,7 @@ impl BufferCache {
                 }
             }
         };
-        if !sequential || depth == 0 {
+        if !sequential {
             return Ok(());
         }
         // Reserve placeholders for the run first, under each shard's
@@ -1064,6 +1070,25 @@ mod tests {
         c.bread(1).unwrap(); // continues stream A
         c.bread(1001).unwrap(); // continues stream B
         assert_eq!(c.stats().readaheads, 8, "both streams prefetched");
+    }
+
+    #[test]
+    fn bread_without_readahead_takes_no_global_lock() {
+        use crate::lock::LockRegistry;
+        let reg = LockRegistry::new();
+        let c = BufferCache::with_registry(Arc::new(RamDisk::new(64)), 16, 4, Arc::clone(&reg));
+        for i in 0..12u64 {
+            c.bread(i).unwrap();
+            c.bread(i).unwrap();
+        }
+        let readahead_acquisitions = reg
+            .class_stats()
+            .iter()
+            .filter(|s| s.name == "buffer.readahead")
+            .map(|s| s.acquisitions)
+            .sum::<u64>();
+        assert_eq!(readahead_acquisitions, 0);
+        assert_eq!(c.stats().readaheads, 0);
     }
 
     #[test]

@@ -20,6 +20,8 @@
 //!   paper's §4.3 `i_lock`/`i_size` example.
 //! - [`time`]: a simulated clock used by the latency model and the netstack.
 //! - [`klog`]: a ring-buffer kernel log.
+//! - [`lanehash`]: the word-speed lane checksum shared by the network
+//!   frame and the journal record.
 //! - [`errno`]: Linux-style error numbers shared by every crate.
 //!
 //! Everything here is deterministic: fault injection and latency use seeded
@@ -34,6 +36,7 @@ pub mod elevator;
 pub mod errno;
 pub mod kalloc;
 pub mod klog;
+pub mod lanehash;
 pub mod lock;
 pub mod scenario;
 pub mod time;

@@ -14,13 +14,13 @@
 //! frame is dropped, so TCP's retransmission machinery heals it instead
 //! of delivering garbage.
 //!
-//! The checksum is FNV-1a fed a 32-bit word at a time and dealt over four
-//! independent lanes, so its work is not one serial chain of multiplies
-//! per byte. Every step is a bijection in the word it takes and in the
-//! state it carries, so no single flipped bit can leave it unchanged
-//! (the argument is on the private `checksum` function).
+//! The checksum is the 32-bit [`sk_ksim::lanehash`]: fed a word at a
+//! time over eight independent lanes, so its work is not one serial chain
+//! of multiplies per byte, and still sure to catch any single flipped
+//! bit.
 
 use sk_ksim::errno::{Errno, KResult};
+use sk_ksim::lanehash::LaneHash;
 
 /// Protocol numbers.
 pub mod proto {
@@ -54,63 +54,18 @@ pub const MAX_PAYLOAD: usize = 1000;
 /// flags, ports, len, seq, ack) are the ones the checksum covers.
 const CSUM_OFF: usize = 16;
 
-/// Independent FNV lanes the checksum deals words over.
-const LANES: usize = 4;
-
-/// Bytes the lanes absorb per round: one 32-bit word each.
-const CHUNK: usize = LANES * 4;
-
-const FNV_BASIS: u32 = 0x811c_9dc5;
-const FNV_PRIME: u32 = 0x0100_0193;
-
-/// One FNV-1a step over a 32-bit word. Xor and then multiplying by an
-/// odd constant mod 2^32 are both invertible, so the step is a bijection
-/// in `w` for a fixed `h`, and in `h` for a fixed `w`.
-#[inline(always)]
-fn step(h: u32, w: u32) -> u32 {
-    (h ^ w).wrapping_mul(FNV_PRIME)
-}
-
-/// Folds one chunk into the lanes: little-endian word `i` of the chunk
-/// goes to lane `i`.
-#[inline(always)]
-fn absorb(lanes: &mut [u32; LANES], chunk: &[u8; CHUNK]) {
-    for (i, lane) in lanes.iter_mut().enumerate() {
-        let w = u32::from_le_bytes(chunk[4 * i..4 * i + 4].try_into().expect("4 bytes"));
-        *lane = step(*lane, w);
-    }
-}
-
 /// The frame checksum over the 16 header bytes that precede the checksum
-/// field (`head`) and the payload.
-///
-/// Both are read as little-endian `u32` words and dealt round-robin over
-/// [`LANES`] independent FNV-1a lanes, one [`step`] per word, with the
-/// last partial chunk zero-padded. The lanes are then folded into one
-/// word with the same step. The lanes do not depend on each other, so
-/// the CPU overlaps their multiplies.
-///
-/// Zero padding cannot make a frame alias a longer one, because the
-/// payload length is part of `head`. Every single-bit flip is detected:
-/// the flip changes exactly one word, so exactly one lane. Since [`step`]
-/// is a bijection in the word it takes and in the state it carries, that
-/// lane's final value changes while the others keep theirs, and the fold,
-/// again a chain of bijections, changes too. A flip inside the stored
-/// checksum field changes the stored value instead of the computed one.
+/// field (`head`) and the payload: a 32-bit [`LaneHash`], which catches
+/// every single flipped bit and cannot cancel top-bit flips in one lane
+/// (the argument is in [`sk_ksim::lanehash`]). Its zero padding cannot
+/// make a frame alias a longer one, because the payload length is part
+/// of `head`. A flip inside the stored checksum field changes the stored
+/// value instead of the computed one.
 fn checksum(head: &[u8; CSUM_OFF], payload: &[u8]) -> u32 {
-    let mut lanes = [FNV_BASIS; LANES];
-    absorb(&mut lanes, head);
-    let mut chunks = payload.chunks_exact(CHUNK);
-    for chunk in &mut chunks {
-        absorb(&mut lanes, chunk.try_into().expect("exact chunk"));
-    }
-    let tail = chunks.remainder();
-    if !tail.is_empty() {
-        let mut last = [0u8; CHUNK];
-        last[..tail.len()].copy_from_slice(tail);
-        absorb(&mut lanes, &last);
-    }
-    lanes.into_iter().fold(FNV_BASIS, step)
+    let mut h = LaneHash::<u32>::default();
+    h.absorb(head);
+    h.absorb(payload);
+    h.finish()
 }
 
 /// A network packet.
@@ -270,13 +225,38 @@ mod tests {
         assert_eq!(
             bytes[..HEADER_LEN],
             [
-                6, 0x03, 80, 0, 0xD2, 0x04, 21, 0, 0xEF, 0xBE, 0xAD, 0xDE, 4, 3, 2, 1, 0xF8, 0x90,
-                0xD2, 0xE8
+                6, 0x03, 80, 0, 0xD2, 0x04, 21, 0, 0xEF, 0xBE, 0xAD, 0xDE, 4, 3, 2, 1, 0xA2, 0x7E,
+                0x84, 0xB2
             ]
         );
         assert_eq!(bytes[HEADER_LEN..], p.payload[..]);
         let empty = Packet::new(proto::UDP, 5, 6).encode();
-        assert_eq!(empty[CSUM_OFF..], 0xC326_09ACu32.to_le_bytes());
+        assert_eq!(empty[CSUM_OFF..], 0xEEEF_A0B4u32.to_le_bytes());
+    }
+
+    #[test]
+    fn top_bit_flips_one_round_apart_are_detected() {
+        // Payload bytes k and k + 32 feed the same lane; with a bare
+        // xor-then-multiply lane step, flipping bit 7 of both would cancel
+        // whenever byte k is a word's top byte (see sk_ksim::lanehash).
+        const ROUND: usize = sk_ksim::lanehash::LANES * 4;
+        let mut p = Packet::new(proto::TCP, 80, 1234);
+        p.payload = (0..64).map(|i| (i * 11 + 1) as u8).collect();
+        let clean = p.encode();
+        for k in 0..clean.len() - ROUND {
+            if (CSUM_OFF..HEADER_LEN).contains(&k) || (CSUM_OFF..HEADER_LEN).contains(&(k + ROUND))
+            {
+                continue;
+            }
+            let mut dirty = clean.clone();
+            dirty[k] ^= 0x80;
+            dirty[k + ROUND] ^= 0x80;
+            assert!(
+                Packet::decode(&dirty).is_err(),
+                "bytes {k} and {}",
+                k + ROUND
+            );
+        }
     }
 
     #[test]

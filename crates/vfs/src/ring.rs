@@ -35,7 +35,11 @@
 //! take everything. Completions use *batched* CQE wakeups — one
 //! broadcast per posted batch rather than one notify per ticket — and
 //! idle reactors follow an adaptive spin-then-park policy so a busy
-//! ring never pays a park/unpark per batch.
+//! ring never pays a park/unpark per batch. Every wake is gated on a
+//! count of threads parked on that condvar, kept under the state lock:
+//! a submit wakes a reactor only if one is parked, a drain wakes at most
+//! one parked submitter per freed slot, and a post broadcasts only if a
+//! client is parked, so no wake goes to nobody.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
@@ -44,7 +48,7 @@ use std::thread::JoinHandle;
 
 use parking_lot::{Condvar, Mutex};
 use sk_core::modularity::InterfaceHandle;
-use sk_ksim::lock::{LockRegistry, TrackedMutex};
+use sk_ksim::lock::{LockRegistry, TrackedMutex, TrackedMutexGuard};
 
 use crate::migrate::SwapGate;
 use crate::modular::{BatchOp, BatchReply, FileSystem};
@@ -81,6 +85,33 @@ struct RingState {
     cq: HashMap<u64, BatchReply>,
     next_ticket: u64,
     shutdown: bool,
+    /// Threads parked on each condvar, counted under this lock so a
+    /// signaller skips the wake syscall when nobody is there to wake.
+    parked: Parked,
+}
+
+#[derive(Default)]
+struct Parked {
+    /// Submitters blocked on a full queue (`sq_space`).
+    submitters: usize,
+    /// Reactors idle on an empty queue (`sq_ready`).
+    reactors: usize,
+    /// Clients blocked in [`Ring::wait`] (`cq_ready`).
+    waiters: usize,
+}
+
+/// Waits on `cv` with `count` raised for the duration, so the signalling
+/// side, which reads the count under the same lock, knows to wake. A
+/// counted thread is always inside the wait (or woken and about to
+/// retake the lock), so no signal the count asks for can be lost.
+fn park(
+    st: &mut TrackedMutexGuard<'_, RingState>,
+    cv: &Condvar,
+    count: fn(&mut Parked) -> &mut usize,
+) {
+    *count(&mut st.parked) += 1;
+    st.wait(cv);
+    *count(&mut st.parked) -= 1;
 }
 
 /// A fixed-depth submission/completion ring bound to one reactor.
@@ -146,6 +177,7 @@ impl Ring {
                     cq: HashMap::new(),
                     next_ticket: 1,
                     shutdown: false,
+                    parked: Parked::default(),
                 },
             ),
             sq_space: Condvar::new(),
@@ -189,7 +221,7 @@ impl Ring {
         if st.sq.len() >= self.depth && !st.shutdown {
             self.stats.lock().sq_full_blocks += 1;
             while st.sq.len() >= self.depth && !st.shutdown {
-                st.wait(&self.sq_space);
+                park(&mut st, &self.sq_space, |p| &mut p.submitters);
             }
         }
         if st.shutdown {
@@ -200,7 +232,9 @@ impl Ring {
         st.sq.push_back((ticket, op));
         self.sq_len.store(st.sq.len(), Ordering::Relaxed);
         self.stats.lock().submitted += 1;
-        self.sq_ready.notify_one();
+        if st.parked.reactors > 0 {
+            self.sq_ready.notify_one();
+        }
         Ok(ticket)
     }
 
@@ -215,7 +249,7 @@ impl Ring {
             if let Some(reply) = st.cq.remove(&ticket) {
                 return Cqe { ticket, reply };
             }
-            st.wait(&self.cq_ready);
+            park(&mut st, &self.cq_ready, |p| &mut p.waiters);
         }
     }
 
@@ -267,39 +301,50 @@ impl Ring {
         self.spin_for_work();
         let mut st = self.state.lock();
         while st.sq.is_empty() && !st.shutdown {
-            st.wait(&self.sq_ready);
+            park(&mut st, &self.sq_ready, |p| &mut p.reactors);
         }
-        let take = st.sq.len().min(self.claim.load(Ordering::Relaxed));
+        self.take_sqes(st, self.claim.load(Ordering::Relaxed))
+    }
+
+    /// Takes up to `cap` SQEs off the queue, then wakes one parked
+    /// submitter per freed slot, and no more than are parked — a
+    /// broadcast would wake every parked client for a single slot at
+    /// depth 1, and a wake with nobody parked is a wasted syscall.
+    fn take_sqes(
+        &self,
+        mut st: TrackedMutexGuard<'_, RingState>,
+        cap: usize,
+    ) -> Vec<(u64, BatchOp)> {
+        let take = st.sq.len().min(cap);
         let batch: Vec<(u64, BatchOp)> = st.sq.drain(..take).collect();
         self.sq_len.store(st.sq.len(), Ordering::Relaxed);
+        let wakes = take.min(st.parked.submitters);
         drop(st);
-        self.notify_space(batch.len());
+        for _ in 0..wakes {
+            self.sq_space.notify_one();
+        }
         batch
     }
 
-    /// Wakes one parked submitter per freed slot — a broadcast would
-    /// wake every parked client for a single slot at depth 1.
-    fn notify_space(&self, slots: usize) {
-        for _ in 0..slots {
-            self.sq_space.notify_one();
-        }
-    }
-
     /// Posts one reply per drained SQE, then wakes waiters with a
-    /// single broadcast — the batched CQE wakeup. One notify per
-    /// *batch*, not per ticket: at any real depth most parked clients
-    /// have a completion in the batch, so the per-ticket bookkeeping
-    /// bought nothing and cost a waiter map under the hot lock.
+    /// single broadcast — the batched CQE wakeup — if any client is
+    /// parked. One notify per *batch*, not per ticket: at any real depth
+    /// most parked clients have a completion in the batch, so the
+    /// per-ticket bookkeeping bought nothing and cost a waiter map under
+    /// the hot lock.
     fn post(&self, tickets: Vec<u64>, replies: Vec<BatchReply>) {
         debug_assert_eq!(tickets.len(), replies.len());
         let n = replies.len() as u64;
-        {
+        let waiters = {
             let mut st = self.state.lock();
             for (ticket, reply) in tickets.into_iter().zip(replies) {
                 st.cq.insert(ticket, reply);
             }
+            st.parked.waiters
+        };
+        if waiters > 0 {
+            self.cq_ready.notify_all();
         }
-        self.cq_ready.notify_all();
         let mut stats = self.stats.lock();
         stats.completed += n;
         stats.batches += 1;
@@ -363,20 +408,14 @@ impl Ring {
         self.spin_for_work();
         let mut st = self.state.lock();
         while st.sq.is_empty() && !st.shutdown {
-            st.wait(&self.sq_ready);
+            park(&mut st, &self.sq_ready, |p| &mut p.reactors);
         }
         !(st.sq.is_empty() && st.shutdown)
     }
 
     /// Claims up to one grain of SQEs without blocking.
     fn drain_nonblocking(&self) -> Vec<(u64, BatchOp)> {
-        let mut st = self.state.lock();
-        let take = st.sq.len().min(self.claim.load(Ordering::Relaxed));
-        let batch: Vec<(u64, BatchOp)> = st.sq.drain(..take).collect();
-        self.sq_len.store(st.sq.len(), Ordering::Relaxed);
-        drop(st);
-        self.notify_space(batch.len());
-        batch
+        self.take_sqes(self.state.lock(), self.claim.load(Ordering::Relaxed))
     }
 
     /// One generation-aware reactor step — the swap-hazard fix. The
@@ -420,14 +459,7 @@ impl Ring {
     /// queued right now (no blocking) and returns how many ops
     /// completed.
     pub fn drain_once(&self, fs: &dyn FileSystem) -> usize {
-        let batch: Vec<(u64, BatchOp)> = {
-            let mut st = self.state.lock();
-            let take = st.sq.len().min(self.depth);
-            let batch = st.sq.drain(..take).collect();
-            self.sq_len.store(st.sq.len(), Ordering::Relaxed);
-            batch
-        };
-        self.notify_space(batch.len());
+        let batch = self.take_sqes(self.state.lock(), self.depth);
         if batch.is_empty() {
             return 0;
         }

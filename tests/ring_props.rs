@@ -14,6 +14,11 @@
 //!   token-order-prefix + fsync-watermark contract: recovery lands on a
 //!   chunk-boundary prefix of the submission order that includes
 //!   everything an fsync SQE covered.
+//!
+//! Plus **no lost wakeups**: the ring signals a condvar only when its
+//! parked count says someone waits there, so every client of a
+//! many-client, shallow-ring stress must finish under a watchdog, and a
+//! shutdown must release every parked submitter and waiter.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -30,6 +35,7 @@ use safer_kernel::ksim::block::{
 use safer_kernel::ksim::errno::KResult;
 use safer_kernel::vfs::modular::{BatchOp, BatchReply, FileSystem};
 use safer_kernel::vfs::ring::{Ring, RingReactor, RingThrottle};
+use safer_kernel::vfs::MemFs;
 
 fn mount_over_faulty(blocks: u64, mode: JournalMode) -> (Arc<FaultyDisk<Arc<RamDisk>>>, Arc<Rsfs>) {
     let ram = Arc::new(RamDisk::new(blocks));
@@ -607,4 +613,131 @@ fn ring_acked_ops_obey_the_fsync_watermark_contract() {
     assert!(checked >= 10, "checked {checked}");
     assert!(post_fsync >= 5, "post-fsync images {post_fsync}");
     assert!(failures.is_empty(), "{failures:?}");
+}
+
+/// Runs `f` on its own thread and fails if it has not returned within
+/// `secs`: a lost wakeup shows up as a hang, not as a wrong answer. A
+/// panic inside `f` is passed on as it is.
+fn under_watchdog<T: Send + 'static>(
+    secs: u64,
+    what: &str,
+    f: impl FnOnce() -> T + Send + 'static,
+) -> T {
+    let (tx, rx) = std::sync::mpsc::channel();
+    let worker = std::thread::spawn(move || {
+        let out = f();
+        let _ = tx.send(());
+        out
+    });
+    if let Err(std::sync::mpsc::RecvTimeoutError::Timeout) =
+        rx.recv_timeout(std::time::Duration::from_secs(secs))
+    {
+        panic!("{what}: no progress in {secs} s (lost wakeup?)");
+    }
+    worker
+        .join()
+        .unwrap_or_else(|p| std::panic::resume_unwind(p))
+}
+
+/// 32 clients each run 2k submit-then-wait round trips through a
+/// depth-1 and a depth-4 ring drained by 2 reactors. At these depths
+/// every submitter, reactor and waiter parks over and over, so a wake
+/// the parked counts skipped by mistake strands a thread.
+#[test]
+fn shallow_rings_lose_no_wakeups() {
+    for depth in [1, 4] {
+        let fs = Arc::new(MemFs::new());
+        let ino = fs.create(fs.root_ino(), "f").unwrap();
+        let ring = Arc::new(Ring::new(
+            &safer_kernel::ksim::lock::LockRegistry::new_disabled(),
+            depth,
+        ));
+        let fs_dyn: Arc<dyn FileSystem> = fs;
+        let reactors = RingReactor::spawn_pool(Arc::clone(&ring), fs_dyn, None, 2);
+        let r = Arc::clone(&ring);
+        under_watchdog(120, &format!("depth {depth}"), move || {
+            let clients: Vec<_> = (0..32u64)
+                .map(|c| {
+                    let ring = Arc::clone(&r);
+                    std::thread::spawn(move || {
+                        for seq in 0..2000u64 {
+                            let t = ring
+                                .submit(BatchOp::Write {
+                                    ino,
+                                    off: c * 512,
+                                    data: tagged_buf(c, seq),
+                                })
+                                .unwrap();
+                            match ring.wait(t).reply {
+                                BatchReply::Write { result: Ok(_), buf } => {
+                                    assert_eq!(buf_tag(&buf), (c, seq));
+                                }
+                                other => panic!("client {c} op {seq}: {other:?}"),
+                            }
+                        }
+                    })
+                })
+                .collect();
+            for c in clients {
+                c.join().unwrap();
+            }
+        });
+        drop(reactors);
+        let stats = ring.stats();
+        assert_eq!(stats.submitted, 64_000);
+        assert_eq!(stats.completed, 64_000);
+    }
+}
+
+/// Shutdown while submitters are parked on a full queue and clients are
+/// parked waiting for CQEs: every parked submitter gets its op back, the
+/// residual queue still completes, and every buffer returns exactly once.
+#[test]
+fn shutdown_releases_parked_submitters_and_waiters_with_their_buffers() {
+    let fs = MemFs::new();
+    let ino = fs.create(fs.root_ino(), "f").unwrap();
+    let ring = Arc::new(Ring::new(
+        &safer_kernel::ksim::lock::LockRegistry::new_disabled(),
+        2,
+    ));
+    let clients: Vec<_> = (0..6u64)
+        .map(|c| {
+            let ring = Arc::clone(&ring);
+            std::thread::spawn(move || {
+                let op = BatchOp::Write {
+                    ino,
+                    off: c * 512,
+                    data: tagged_buf(c, 0),
+                };
+                match ring.submit(op) {
+                    Ok(t) => match ring.wait(t).reply {
+                        BatchReply::Write { buf, .. } => buf_tag(&buf),
+                        other => panic!("client {c}: {other:?}"),
+                    },
+                    Err(BatchOp::Write { data, .. }) => buf_tag(&data),
+                    Err(other) => panic!("client {c}: refused {other:?}"),
+                }
+            })
+        })
+        .collect();
+    // Two submissions fill the queue and the other four park on it.
+    // The pause gives the two accepted clients time to park in `wait`;
+    // the checks below hold whether or not they got there first.
+    while ring.stats().sq_full_blocks < 4 {
+        std::thread::sleep(std::time::Duration::from_millis(1));
+    }
+    std::thread::sleep(std::time::Duration::from_millis(20));
+    ring.shutdown();
+    let r = Arc::clone(&ring);
+    let mut tags = under_watchdog(60, "shutdown", move || {
+        assert_eq!(r.drain_once(&fs), 2, "accepted SQEs still complete");
+        clients
+            .into_iter()
+            .map(|c| c.join().unwrap())
+            .collect::<Vec<_>>()
+    });
+    tags.sort_unstable();
+    assert_eq!(tags, (0..6u64).map(|c| (c, 0)).collect::<Vec<_>>());
+    let stats = ring.stats();
+    assert_eq!((stats.submitted, stats.completed), (2, 2));
 }
