@@ -19,8 +19,9 @@
 //! A verified module "will appear buggy if either the block I/O layer is
 //! buggy or the model erroneous" — so violations are recorded, not
 //! panicked, and surface in the boundary's diagnostics. Running the
-//! workspace's corruption-injecting `FaultyDevice` under this wrapper makes
-//! A1/A2 fire, demonstrating the axioms catching a faulty substrate.
+//! workspace's fault-injecting `FaultyDisk` with read corruption on under
+//! this wrapper makes A1/A2 fire, demonstrating the axioms catching a
+//! faulty substrate.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -179,7 +180,7 @@ impl<D: BlockDevice> AxiomaticDevice<Arc<D>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sk_ksim::block::{FaultConfig, FaultyDevice, RamDisk, BLOCK_SIZE};
+    use sk_ksim::block::{DiskFaultConfig, FaultyDisk, RamDisk, BLOCK_SIZE};
 
     #[test]
     fn honest_device_satisfies_axioms() {
@@ -196,15 +197,15 @@ mod tests {
 
     #[test]
     fn corrupting_device_violates_a1() {
-        let cfg = FaultConfig {
-            corruption_rate: 1.0,
-            ..FaultConfig::default()
+        let cfg = DiskFaultConfig {
+            read_corrupt: 1.0,
+            ..DiskFaultConfig::default()
         };
-        let d = AxiomaticDevice::new(FaultyDevice::new(RamDisk::new(4), cfg, 11));
+        let d = AxiomaticDevice::new(FaultyDisk::new(RamDisk::new(4), cfg, 11));
         let data = vec![0u8; BLOCK_SIZE];
-        d.write_block(0, &data).unwrap(); // Corrupted on media.
+        d.write_block(0, &data).unwrap();
         let mut out = vec![0u8; BLOCK_SIZE];
-        d.read_block(0, &mut out).unwrap();
+        d.read_block(0, &mut out).unwrap(); // Corrupted on the way back.
         let v = d.violations();
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].axiom, "A1");

@@ -163,7 +163,7 @@ struct TxnUndo {
 }
 
 impl<'a> Txn<'a> {
-    fn empty(fs: &'a Rsfs) -> Txn<'a> {
+    fn new(fs: &'a Rsfs) -> Txn<'a> {
         Txn {
             fs,
             writes: BTreeMap::new(),
@@ -175,10 +175,6 @@ impl<'a> Txn<'a> {
         }
     }
 
-    fn new(fs: &'a Rsfs) -> Txn<'a> {
-        Txn::empty(fs)
-    }
-
     /// Starts a mutating transaction covering `inos`: takes their op-lock
     /// stripes in ascending index order so staging (and the commit-order
     /// token) is serialized against other mutations of the same files.
@@ -186,7 +182,7 @@ impl<'a> Txn<'a> {
         let mut idx: Vec<usize> = inos.iter().map(|&i| fs.stripe_of(i)).collect();
         idx.sort_unstable();
         idx.dedup();
-        let mut txn = Txn::empty(fs);
+        let mut txn = Txn::new(fs);
         txn.stripes = idx
             .into_iter()
             .map(|s| (s, fs.op_stripes[s].lock()))
@@ -197,7 +193,7 @@ impl<'a> Txn<'a> {
     /// The deterministic fallback when optimistic stripe extension keeps
     /// losing races: take every stripe, ascending.
     fn begin_all(fs: &'a Rsfs) -> Txn<'a> {
-        let mut txn = Txn::empty(fs);
+        let mut txn = Txn::new(fs);
         txn.stripes = (0..fs.op_stripes.len())
             .map(|s| (s, fs.op_stripes[s].lock()))
             .collect();
@@ -494,6 +490,24 @@ impl<'a> Txn<'a> {
         buf.read(|d| DiskInode::decode(&d[slot..slot + INODE_SIZE]))
     }
 
+    /// Reads `ino`, failing with `ENOENT` if its slot is free.
+    fn live_inode(&self, ino: InodeNo) -> KResult<DiskInode> {
+        let di = self.read_inode(ino)?;
+        if di.mode == MODE_FREE {
+            return Err(Errno::ENOENT);
+        }
+        Ok(di)
+    }
+
+    /// The check a file read or write makes first: `ino` is live and
+    /// not a directory.
+    fn file_inode(&self, ino: InodeNo) -> KResult<()> {
+        if self.live_inode(ino)?.mode == MODE_DIR {
+            return Err(Errno::EISDIR);
+        }
+        Ok(())
+    }
+
     fn write_inode(&mut self, ino: InodeNo, di: &DiskInode) -> KResult<()> {
         self.inode_loc(ino)?; // range check only; staged slot-level
         if let Some(undo) = &mut self.undo {
@@ -595,12 +609,11 @@ impl<'a> Txn<'a> {
         Ok(u64::from(fresh))
     }
 
-    /// Writes `data` at `off` into `ino`, updating size.
+    /// Writes `data` at `off` into `ino`, extending its size to at least
+    /// `off + data.len()` (so an empty write past the end extends it to
+    /// `off`). Callers check the inode first ([`Txn::file_inode`], or a
+    /// directory lookup).
     fn write_range(&mut self, ino: InodeNo, off: u64, data: &[u8]) -> KResult<usize> {
-        let di = self.read_inode(ino)?;
-        if di.mode == MODE_FREE {
-            return Err(Errno::ENOENT);
-        }
         let end = ovf::add(off, data.len() as u64)?;
         if end > MAX_FILE_SIZE {
             return Err(Errno::EFBIG);
@@ -632,12 +645,10 @@ impl<'a> Txn<'a> {
 
     /// Reads a file range through the overlay. Blocks outside the overlay
     /// are copied straight out of the cache buffer (no per-block clone —
-    /// this is the hot read path).
+    /// this is the hot read path). Callers check the inode first, as for
+    /// [`Txn::write_range`].
     fn read_range(&mut self, ino: InodeNo, off: u64, buf: &mut [u8]) -> KResult<usize> {
         let di = self.read_inode(ino)?;
-        if di.mode == MODE_FREE {
-            return Err(Errno::ENOENT);
-        }
         if off >= di.size {
             return Ok(0);
         }
@@ -767,6 +778,47 @@ impl<'a> Txn<'a> {
         let victim = found.ok_or(Errno::ENOENT)?;
         self.dir_set_content(dir, &rebuilt)?;
         Ok(victim)
+    }
+
+    /// Creates `name` in `dir` as a fresh inode of `mode`: the body of
+    /// create, mkdir and the batch create.
+    fn create_entry(&mut self, dir: InodeNo, name: &str, mode: u16) -> KResult<InodeNo> {
+        validate_name(name)?;
+        match self.dir_lookup(dir, name) {
+            Ok(_) => return Err(Errno::EEXIST),
+            Err(Errno::ENOENT) => {}
+            Err(e) => return Err(e),
+        }
+        let ino = self.ialloc(mode)?;
+        self.dir_add(dir, name, ino)?;
+        Ok(ino)
+    }
+
+    /// Removes `name`, which resolves to `victim`, from `dir` and frees
+    /// the victim: a file, or an empty directory if `is_dir`. The body of
+    /// unlink, rmdir, rename's replaced target and the batch unlink.
+    fn remove_entry(
+        &mut self,
+        dir: InodeNo,
+        name: &str,
+        victim: InodeNo,
+        is_dir: bool,
+    ) -> KResult<()> {
+        let di = self.read_inode(victim)?;
+        if !is_dir && di.mode == MODE_DIR {
+            return Err(Errno::EISDIR);
+        }
+        if is_dir {
+            if di.mode != MODE_DIR {
+                return Err(Errno::ENOTDIR);
+            }
+            if !dirent_parse(&self.dir_content(victim)?)?.is_empty() {
+                return Err(Errno::ENOTEMPTY);
+            }
+        }
+        self.dir_remove(dir, name)?;
+        self.shrink_blocks(victim, 0)?;
+        self.ifree(victim)
     }
 }
 
@@ -1003,11 +1055,7 @@ impl Rsfs {
         if let Some(i) = self.icache_shard(ino).lock().get(&ino) {
             return Ok(Arc::clone(i));
         }
-        let txn = Txn::new(self);
-        let di = txn.read_inode(ino)?;
-        if di.mode == MODE_FREE {
-            return Err(Errno::ENOENT);
-        }
+        let di = Txn::new(self).live_inode(ino)?;
         let ftype = if di.mode == MODE_DIR {
             FileType::Directory
         } else {
@@ -1019,13 +1067,17 @@ impl Rsfs {
         Ok(Arc::clone(shard.entry(ino).or_insert(inode)))
     }
 
-    /// Largest write (bytes) that fits one transaction, leaving slack for
-    /// metadata blocks.
+    /// Blocks one transaction may stage: the journal record's capacity
+    /// less slack for metadata blocks. Batch chunks are cut against it.
+    fn txn_blocks(&self) -> usize {
+        self.journal
+            .as_ref()
+            .map_or(usize::MAX, |j| j.capacity().saturating_sub(8).max(1))
+    }
+
+    /// Largest write (bytes) that fits one transaction.
     fn max_txn_data(&self) -> usize {
-        match &self.journal {
-            Some(j) => j.capacity().saturating_sub(8).max(1) * BLOCK_SIZE,
-            None => usize::MAX,
-        }
+        self.txn_blocks().saturating_mul(BLOCK_SIZE)
     }
 
     /// Publishes one batch chunk ([`Rsfs::submit_batch`]): commits the
@@ -1070,24 +1122,57 @@ impl Rsfs {
         chunk.clear();
     }
 
-    /// Begins a transaction covering `dir`'s stripe *and* the stripe of
-    /// the inode `name` currently resolves to (unlink/rmdir need both:
-    /// the dentry lives under the directory's stripe, the victim's
-    /// blocks and slot under its own). The victim is found by an
-    /// optimistic probe, locked, and implicitly re-verified: each retry
-    /// re-resolves under the freshly held locks, and a bounded number
-    /// of lost races falls back to locking every stripe.
-    fn txn_for_victim(&self, dir: InodeNo, name: &str) -> KResult<Txn<'_>> {
-        let mut want: Vec<InodeNo> = vec![dir];
+    /// Begins a transaction covering the stripes of `base` *and* of the
+    /// inode `name` currently resolves to in `dir`, and returns it with
+    /// that lookup. Removing an entry needs both: the dentry lives under
+    /// the directory's stripe, the victim's blocks and slot under its
+    /// own. The victim is found by an optimistic probe, locked, and
+    /// re-verified: each retry re-resolves under the freshly held
+    /// locks, and a bounded number of lost races falls back to locking
+    /// every stripe. A failed lookup needs no victim stripe.
+    fn txn_for_victim(
+        &self,
+        base: &[InodeNo],
+        dir: InodeNo,
+        name: &str,
+    ) -> (Txn<'_>, KResult<InodeNo>) {
+        let mut want = base.to_vec();
         for _ in 0..8 {
             let mut txn = Txn::begin(self, &want);
-            let victim = txn.dir_lookup(dir, name)?;
-            if txn.covers(&[victim]) || txn.try_cover(&[victim]) {
-                return Ok(txn);
+            match txn.dir_lookup(dir, name) {
+                Ok(v) if !(txn.covers(&[v]) || txn.try_cover(&[v])) => {
+                    want = base.iter().copied().chain([v]).collect();
+                }
+                victim => return (txn, victim),
             }
-            want = vec![dir, victim];
         }
-        Ok(Txn::begin_all(self))
+        let mut txn = Txn::begin_all(self);
+        let victim = txn.dir_lookup(dir, name);
+        (txn, victim)
+    }
+
+    /// The durability point an fsync waits for (see `fsync` below).
+    fn fsync_commit(&self) -> KResult<()> {
+        match &self.journal {
+            Some(j) => j.commit_running(),
+            None => self.cache.sync_all(),
+        }
+    }
+
+    /// Create or mkdir.
+    fn create_in(&self, dir: InodeNo, name: &str, mode: u16) -> KResult<InodeNo> {
+        let mut txn = Txn::begin(self, &[dir]);
+        let ino = txn.create_entry(dir, name, mode)?;
+        txn.commit()?;
+        Ok(ino)
+    }
+
+    /// Unlink (`is_dir` false) or rmdir.
+    fn remove_in(&self, dir: InodeNo, name: &str, is_dir: bool) -> KResult<()> {
+        validate_name(name)?;
+        let (mut txn, victim) = self.txn_for_victim(&[dir], dir, name);
+        txn.remove_entry(dir, name, victim?, is_dir)?;
+        txn.commit()
     }
 
     /// Batch staging: makes the open chunk's transaction cover `need`,
@@ -1139,11 +1224,7 @@ impl FileSystem for Rsfs {
     }
 
     fn getattr(&self, ino: InodeNo) -> KResult<Attr> {
-        let txn = Txn::new(self);
-        let di = txn.read_inode(ino)?;
-        if di.mode == MODE_FREE {
-            return Err(Errno::ENOENT);
-        }
+        let di = Txn::new(self).live_inode(ino)?;
         Ok(Attr {
             ino,
             ftype: if di.mode == MODE_DIR {
@@ -1158,103 +1239,49 @@ impl FileSystem for Rsfs {
     }
 
     fn create(&self, dir: InodeNo, name: &str) -> KResult<InodeNo> {
-        validate_name(name)?;
-        let mut txn = Txn::begin(self, &[dir]);
-        match txn.dir_lookup(dir, name) {
-            Ok(_) => return Err(Errno::EEXIST),
-            Err(Errno::ENOENT) => {}
-            Err(e) => return Err(e),
-        }
-        let ino = txn.ialloc(MODE_REG)?;
-        txn.dir_add(dir, name, ino)?;
-        txn.commit()?;
-        Ok(ino)
+        self.create_in(dir, name, MODE_REG)
     }
 
     fn mkdir(&self, dir: InodeNo, name: &str) -> KResult<InodeNo> {
-        validate_name(name)?;
-        let mut txn = Txn::begin(self, &[dir]);
-        match txn.dir_lookup(dir, name) {
-            Ok(_) => return Err(Errno::EEXIST),
-            Err(Errno::ENOENT) => {}
-            Err(e) => return Err(e),
-        }
-        let ino = txn.ialloc(MODE_DIR)?;
-        txn.dir_add(dir, name, ino)?;
-        txn.commit()?;
-        Ok(ino)
+        self.create_in(dir, name, MODE_DIR)
     }
 
     fn unlink(&self, dir: InodeNo, name: &str) -> KResult<()> {
-        validate_name(name)?;
-        let mut txn = self.txn_for_victim(dir, name)?;
-        let victim = txn.dir_lookup(dir, name)?;
-        let di = txn.read_inode(victim)?;
-        if di.mode == MODE_DIR {
-            return Err(Errno::EISDIR);
-        }
-        txn.dir_remove(dir, name)?;
-        txn.shrink_blocks(victim, 0)?;
-        txn.ifree(victim)?;
-        txn.commit()
+        self.remove_in(dir, name, false)
     }
 
     fn rmdir(&self, dir: InodeNo, name: &str) -> KResult<()> {
-        validate_name(name)?;
-        let mut txn = self.txn_for_victim(dir, name)?;
-        let victim = txn.dir_lookup(dir, name)?;
-        let di = txn.read_inode(victim)?;
-        if di.mode != MODE_DIR {
-            return Err(Errno::ENOTDIR);
-        }
-        let content = txn.dir_content(victim)?;
-        if !dirent_parse(&content)?.is_empty() {
-            return Err(Errno::ENOTEMPTY);
-        }
-        txn.dir_remove(dir, name)?;
-        txn.shrink_blocks(victim, 0)?;
-        txn.ifree(victim)?;
-        txn.commit()
+        self.remove_in(dir, name, true)
     }
 
     fn read(&self, ino: InodeNo, off: u64, buf: &mut [u8]) -> KResult<usize> {
         let mut txn = Txn::new(self);
-        let di = txn.read_inode(ino)?;
-        if di.mode == MODE_DIR {
-            return Err(Errno::EISDIR);
-        }
+        txn.file_inode(ino)?;
         txn.read_range(ino, off, buf)
     }
 
     fn write(&self, ino: InodeNo, off: u64, data: &[u8]) -> KResult<usize> {
-        {
-            let probe = Txn::new(self);
-            let di = probe.read_inode(ino)?;
-            if di.mode == MODE_DIR {
-                return Err(Errno::EISDIR);
-            }
-        }
         // Chunk oversized writes into successive atomic transactions.
         // Each chunk takes the op lock itself (Txn::begin) and releases
         // it once staged, so concurrent writers interleave per chunk and
-        // group-commit can batch them.
+        // group-commit can batch them. An empty write still runs one
+        // chunk: it is checked, and extends the size to `off`.
         let chunk = self.max_txn_data();
         let mut done = 0usize;
-        while done < data.len() {
+        loop {
             let n = chunk.min(data.len() - done);
             let mut txn = Txn::begin(self, &[ino]);
+            txn.file_inode(ino)?;
             txn.write_range(ino, ovf::add(off, done as u64)?, &data[done..done + n])?;
             txn.commit()?;
             done += n;
-        }
-        if data.is_empty() {
-            return Ok(0);
+            if done == data.len() {
+                break;
+            }
         }
         // Disciplined i_size propagation to the shared generic inode.
         if let Ok(vi) = self.vfs_inode(ino) {
-            let txn = Txn::new(self);
-            let di = txn.read_inode(ino)?;
-            vi.set_size(di.size);
+            vi.set_size(Txn::new(self).read_inode(ino)?.size);
         }
         Ok(done)
     }
@@ -1310,54 +1337,17 @@ impl FileSystem for Rsfs {
         validate_name(newname)?;
         // Stripe set: both directories, plus the existing target inode
         // if the destination name is taken (its blocks and slot are
-        // freed below). The target is probed, locked, and re-verified
-        // on retry; persistent races fall back to every stripe. The
-        // source inode needs no stripe — its slot is not written, and
-        // its dentry is covered by the directories' stripes.
-        let mut want: Vec<InodeNo> = vec![olddir, newdir];
-        let mut ready = None;
-        for _ in 0..8 {
-            let mut t = Txn::begin(self, &want);
-            match t.dir_lookup(newdir, newname) {
-                Ok(existing) if !t.covers(&[existing]) => {
-                    if t.try_cover(&[existing]) {
-                        ready = Some(t);
-                        break;
-                    }
-                    want = vec![olddir, newdir, existing];
-                }
-                _ => {
-                    ready = Some(t);
-                    break;
-                }
-            }
-        }
-        let mut txn = ready.unwrap_or_else(|| Txn::begin_all(self));
+        // freed below). The source inode needs no stripe — its slot is
+        // not written, and its dentry is covered by the directories'
+        // stripes.
+        let (mut txn, target) = self.txn_for_victim(&[olddir, newdir], newdir, newname);
         let src = txn.dir_lookup(olddir, oldname)?;
         if olddir == newdir && oldname == newname {
             return Ok(());
         }
         let src_di = txn.read_inode(src)?;
-        match txn.dir_lookup(newdir, newname) {
-            Ok(existing) => {
-                let tgt_di = txn.read_inode(existing)?;
-                if src_di.mode == MODE_REG {
-                    if tgt_di.mode == MODE_DIR {
-                        return Err(Errno::EISDIR);
-                    }
-                } else {
-                    if tgt_di.mode != MODE_DIR {
-                        return Err(Errno::ENOTDIR);
-                    }
-                    let content = txn.dir_content(existing)?;
-                    if !dirent_parse(&content)?.is_empty() {
-                        return Err(Errno::ENOTEMPTY);
-                    }
-                }
-                txn.dir_remove(newdir, newname)?;
-                txn.shrink_blocks(existing, 0)?;
-                txn.ifree(existing)?;
-            }
+        match target {
+            Ok(existing) => txn.remove_entry(newdir, newname, existing, src_di.mode != MODE_REG)?,
             Err(Errno::ENOENT) => {}
             Err(e) => return Err(e),
         }
@@ -1399,16 +1389,8 @@ impl FileSystem for Rsfs {
         // both correct and the cheapest sound choice. Under PerOp every
         // acknowledged op is already durable and this is a no-op; without
         // a journal, fall back to writing the whole cache back.
-        let txn = Txn::new(self);
-        let di = txn.read_inode(ino)?;
-        if di.mode == MODE_FREE {
-            return Err(Errno::ENOENT);
-        }
-        drop(txn);
-        match &self.journal {
-            Some(j) => j.commit_running(),
-            None => self.cache.sync_all(),
-        }
+        Txn::new(self).live_inode(ino)?;
+        self.fsync_commit()
     }
 
     fn sync(&self) -> KResult<()> {
@@ -1471,6 +1453,8 @@ impl FileSystem for Rsfs {
     ///
     /// Contract details:
     ///
+    /// - Each arm runs the per-call op's own `Txn` body, so the two paths
+    ///   agree reply for reply; the batch adds only the shared overlay.
     /// - A failed op rolls back its own overlay writes ([`Txn::op_scope`])
     ///   and fails alone; its neighbors stay staged.
     /// - If the *chunk commit* fails (journal abort, `EROFS`), every op
@@ -1487,12 +1471,9 @@ impl FileSystem for Rsfs {
     /// - Chunks are cut before the overlay could outgrow one journal
     ///   record, so a batch never trips the `ENOSPC` oversize check.
     fn submit_batch(&self, ops: Vec<BatchOp>) -> Vec<BatchReply> {
-        // Same metadata slack as max_txn_data: cut the chunk while every
-        // op's worst-case block touch still fits the record.
-        let chunk_blocks = match &self.journal {
-            Some(j) => j.capacity().saturating_sub(8).max(1),
-            None => usize::MAX,
-        };
+        // Cut the chunk while every op's worst-case block touch still
+        // fits the record.
+        let chunk_blocks = self.txn_blocks();
         let mut replies: Vec<BatchReply> = Vec::with_capacity(ops.len());
         // Indices (into `replies`) of ops staged in — or reading through —
         // the open chunk; rewritten to the commit error if it fails.
@@ -1512,23 +1493,11 @@ impl FileSystem for Rsfs {
                     // same-batch create is visible); the covering commit
                     // is deferred to batch end, where all the batch's
                     // fsyncs share one barrier.
-                    let r = match &mut txn {
-                        Some(t) => t.op_scope(|t| {
-                            let di = t.read_inode(ino)?;
-                            if di.mode == MODE_FREE {
-                                return Err(Errno::ENOENT);
-                            }
-                            Ok(())
-                        }),
-                        None => (|| {
-                            let t = Txn::new(self);
-                            let di = t.read_inode(ino)?;
-                            if di.mode == MODE_FREE {
-                                return Err(Errno::ENOENT);
-                            }
-                            Ok(())
-                        })(),
-                    };
+                    let r = match &txn {
+                        Some(t) => t.live_inode(ino),
+                        None => Txn::new(self).live_inode(ino),
+                    }
+                    .map(|_| ());
                     if r.is_ok() {
                         if txn.is_some() {
                             // Chunk-tainted: the inode it validated is
@@ -1542,59 +1511,33 @@ impl FileSystem for Rsfs {
                 BatchOp::Create { dir, name } => {
                     self.cover_for_batch(&mut txn, &[dir], &mut chunk, &mut replies, &mut sized);
                     let t = txn.as_mut().expect("cover_for_batch leaves a txn");
-                    let r = t.op_scope(|t| {
-                        validate_name(&name)?;
-                        match t.dir_lookup(dir, &name) {
-                            Ok(_) => return Err(Errno::EEXIST),
-                            Err(Errno::ENOENT) => {}
-                            Err(e) => return Err(e),
-                        }
-                        let ino = t.ialloc(MODE_REG)?;
-                        t.dir_add(dir, &name, ino)?;
-                        Ok(ino)
-                    });
+                    let r = t.op_scope(|t| t.create_entry(dir, &name, MODE_REG));
                     if r.is_ok() {
                         chunk.push(idx);
                     }
                     replies.push(BatchReply::Create(r));
                 }
                 BatchOp::Unlink { dir, name } => {
-                    // Probe the victim under the directory's stripe,
-                    // then extend coverage to the victim's stripe —
-                    // retrying (bounded) when the optimistic extension
-                    // loses a race, with an all-stripes fallback.
-                    let mut want: Vec<InodeNo> = vec![dir];
-                    let mut attempts = 0;
-                    let r = loop {
-                        self.cover_for_batch(&mut txn, &want, &mut chunk, &mut replies, &mut sized);
-                        let t = txn.as_mut().expect("cover_for_batch leaves a txn");
-                        let probe = t.op_scope(|t| {
-                            validate_name(&name)?;
-                            t.dir_lookup(dir, &name)
-                        });
-                        let victim = match probe {
-                            Ok(v) => v,
-                            Err(e) => break Err(e),
-                        };
-                        if t.covers(&[victim]) || t.try_cover(&[victim]) {
-                            break t.op_scope(|t| {
-                                let di = t.read_inode(victim)?;
-                                if di.mode == MODE_DIR {
-                                    return Err(Errno::EISDIR);
-                                }
-                                t.dir_remove(dir, &name)?;
-                                t.shrink_blocks(victim, 0)?;
-                                t.ifree(victim)
-                            });
-                        }
-                        attempts += 1;
-                        if attempts < 8 {
-                            want = vec![dir, victim];
-                        } else {
+                    // Probe the victim through the open chunk and extend
+                    // it to the victim's stripe; if that loses a race,
+                    // flush the chunk and take the per-call path's
+                    // probe–lock–retry.
+                    self.cover_for_batch(&mut txn, &[dir], &mut chunk, &mut replies, &mut sized);
+                    let t = txn.as_mut().expect("cover_for_batch leaves a txn");
+                    let mut victim = t.dir_lookup(dir, &name);
+                    if let Ok(v) = victim {
+                        if !(t.covers(&[v]) || t.try_cover(&[v])) {
                             self.flush_chunk(txn.take(), &mut chunk, &mut replies, &mut sized);
-                            txn = Some(Txn::begin_all(self));
+                            let (t, v) = self.txn_for_victim(&[dir], dir, &name);
+                            txn = Some(t);
+                            victim = v;
                         }
-                    };
+                    }
+                    let t = txn.as_mut().expect("unlink leaves a txn");
+                    let r = t.op_scope(|t| {
+                        validate_name(&name)?;
+                        t.remove_entry(dir, &name, victim?, false)
+                    });
                     if r.is_ok() {
                         chunk.push(idx);
                     }
@@ -1618,10 +1561,7 @@ impl FileSystem for Rsfs {
                         );
                         let t = txn.as_mut().expect("cover_for_batch leaves a txn");
                         let r = t.op_scope(|t| {
-                            let di = t.read_inode(ino)?;
-                            if di.mode == MODE_DIR {
-                                return Err(Errno::EISDIR);
-                            }
+                            t.file_inode(ino)?;
                             t.write_range(ino, off, &data)
                         });
                         if r.is_ok() {
@@ -1641,13 +1581,9 @@ impl FileSystem for Rsfs {
                         // is chunk-tainted — if the chunk's commit fails,
                         // what it saw never existed.
                         Some(t) => {
-                            let r = t.op_scope(|t| {
-                                let di = t.read_inode(ino)?;
-                                if di.mode == MODE_DIR {
-                                    return Err(Errno::EISDIR);
-                                }
-                                t.read_range(ino, off, &mut buf)
-                            });
+                            let r = t
+                                .file_inode(ino)
+                                .and_then(|()| t.read_range(ino, off, &mut buf));
                             if r.is_ok() {
                                 chunk.push(idx);
                             }
@@ -1670,11 +1606,7 @@ impl FileSystem for Rsfs {
         if !fsyncs.is_empty() {
             // The coalesced durability point: one commit covers every
             // fsync in the batch, and it runs before any CQE is posted.
-            let res = match &self.journal {
-                Some(j) => j.commit_running(),
-                None => self.cache.sync_all(),
-            };
-            if let Err(e) = res {
+            if let Err(e) = self.fsync_commit() {
                 for &i in &fsyncs {
                     if replies[i].result().is_ok() {
                         fail_reply(&mut replies[i], e);
@@ -2006,6 +1938,37 @@ mod tests {
         );
         let d = fs.mkdir(ROOT_INO, "d").unwrap();
         assert_eq!(fs.write_begin(d, 0, 1).unwrap_err(), Errno::EISDIR);
+    }
+
+    /// An empty write is checked and sized like any other, per call and
+    /// in a batch alike: it extends the size to `off`, fails with `EFBIG`
+    /// past the maximum file size, and with `ENOENT` on a freed inode.
+    #[test]
+    fn zero_length_write_is_checked_and_sized() {
+        for batched in [false, true] {
+            let fs = mount(JournalMode::PerOp);
+            let f = fs.create(ROOT_INO, "f").unwrap();
+            let gone = fs.create(ROOT_INO, "gone").unwrap();
+            fs.unlink(ROOT_INO, "gone").unwrap();
+            let write = |ino, off| {
+                if !batched {
+                    return fs.write(ino, off, &[]);
+                }
+                let data = Vec::new();
+                match fs
+                    .submit_batch(vec![BatchOp::Write { ino, off, data }])
+                    .pop()
+                {
+                    Some(BatchReply::Write { result, .. }) => result,
+                    other => panic!("write reply: {other:?}"),
+                }
+            };
+            assert_eq!(write(f, 100), Ok(0), "batched={batched}");
+            assert_eq!(fs.getattr(f).unwrap().size, 100, "batched={batched}");
+            assert_eq!(fs.vfs_inode(f).unwrap().size(), 100, "batched={batched}");
+            assert_eq!(write(f, MAX_FILE_SIZE + 1), Err(Errno::EFBIG));
+            assert_eq!(write(gone, 0), Err(Errno::ENOENT));
+        }
     }
 
     /// The per-table-block slot counts behind the chunk cut follow

@@ -5,12 +5,10 @@
 //! - [`RamDisk`]: the "hardware" — a RAM-backed array of fixed-size blocks
 //!   with IO accounting and a simple seek/transfer latency model driven by
 //!   the simulated clock.
-//! - [`FaultyDevice`]: wraps any device and injects deterministic faults
-//!   (read/write `EIO`, torn writes, silent corruption) from a seeded RNG.
-//! - [`FaultyDisk`]: the adversarial disk harness — everything
-//!   [`FaultyDevice`] does plus flush errors, *sector*-granular torn
-//!   writes, read-side corruption, and one-shot fail-the-nth-IO schedules
-//!   for exhaustive error-point enumeration (the storage twin of
+//! - [`FaultyDisk`]: the one fault-injecting wrapper — seeded read, write
+//!   and flush `EIO`, *sector*-granular torn writes, silent read
+//!   corruption, and one-shot fail-the-nth-IO schedules for exhaustive
+//!   error-point enumeration (the storage twin of
 //!   `netstack::fault::FaultyLink`).
 //! - [`CrashDevice`]: wraps any device and models a **volatile write cache**:
 //!   writes land in the cache and only reach the backing device on `flush`.
@@ -23,8 +21,6 @@
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 use crate::errno::{Errno, KResult};
 use crate::scenario::{subsys, EngineStream, ScenarioEngine};
@@ -296,123 +292,6 @@ impl BlockDevice for RamDisk {
 
     fn stats(&self) -> DeviceStats {
         self.inner.lock().stats
-    }
-}
-
-/// Configuration for [`FaultyDevice`].
-#[derive(Debug, Clone, Copy)]
-pub struct FaultConfig {
-    /// Probability in [0, 1] that a read fails with `EIO`.
-    pub read_error_rate: f64,
-    /// Probability in [0, 1] that a write fails with `EIO`.
-    pub write_error_rate: f64,
-    /// Probability in [0, 1] that a write is *torn*: only a prefix of the
-    /// block reaches the media, the rest keeps its old contents.
-    pub torn_write_rate: f64,
-    /// Probability in [0, 1] that a write is silently corrupted (one byte
-    /// flipped) — models media bit rot for checksum testing.
-    pub corruption_rate: f64,
-}
-
-impl Default for FaultConfig {
-    fn default() -> Self {
-        FaultConfig {
-            read_error_rate: 0.0,
-            write_error_rate: 0.0,
-            torn_write_rate: 0.0,
-            corruption_rate: 0.0,
-        }
-    }
-}
-
-/// Deterministic fault-injecting wrapper around a block device.
-pub struct FaultyDevice<D> {
-    inner: D,
-    config: Mutex<FaultConfig>,
-    rng: Mutex<StdRng>,
-    injected: Mutex<DeviceStats>,
-}
-
-impl<D: BlockDevice> FaultyDevice<D> {
-    /// Wraps `inner` with the given fault configuration and RNG seed.
-    pub fn new(inner: D, config: FaultConfig, seed: u64) -> Self {
-        FaultyDevice {
-            inner,
-            config: Mutex::new(config),
-            rng: Mutex::new(StdRng::seed_from_u64(seed)),
-            injected: Mutex::new(DeviceStats::default()),
-        }
-    }
-
-    /// Replaces the fault configuration at runtime.
-    pub fn set_config(&self, config: FaultConfig) {
-        *self.config.lock() = config;
-    }
-
-    /// The wrapped device.
-    pub fn inner(&self) -> &D {
-        &self.inner
-    }
-
-    fn roll(&self, p: f64) -> bool {
-        p > 0.0 && self.rng.lock().gen_bool(p.clamp(0.0, 1.0))
-    }
-}
-
-impl<D: BlockDevice> BlockDevice for FaultyDevice<D> {
-    fn num_blocks(&self) -> u64 {
-        self.inner.num_blocks()
-    }
-
-    fn block_size(&self) -> usize {
-        self.inner.block_size()
-    }
-
-    fn read_block(&self, blkno: u64, buf: &mut [u8]) -> KResult<()> {
-        let rate = self.config.lock().read_error_rate;
-        if self.roll(rate) {
-            self.injected.lock().io_errors += 1;
-            return Err(Errno::EIO);
-        }
-        self.inner.read_block(blkno, buf)
-    }
-
-    fn write_block(&self, blkno: u64, buf: &[u8]) -> KResult<()> {
-        let cfg = *self.config.lock();
-        if self.roll(cfg.write_error_rate) {
-            self.injected.lock().io_errors += 1;
-            return Err(Errno::EIO);
-        }
-        if self.roll(cfg.torn_write_rate) {
-            // Tear the write: persist only a random prefix of the block.
-            let bs = self.block_size();
-            let cut = self.rng.lock().gen_range(1..bs);
-            let mut old = vec![0u8; bs];
-            self.inner.read_block(blkno, &mut old)?;
-            old[..cut].copy_from_slice(&buf[..cut]);
-            return self.inner.write_block(blkno, &old);
-        }
-        if self.roll(cfg.corruption_rate) {
-            let bs = self.block_size();
-            let mut corrupted = buf.to_vec();
-            let (idx, bit) = {
-                let mut rng = self.rng.lock();
-                (rng.gen_range(0..bs), rng.gen_range(0..8u8))
-            };
-            corrupted[idx] ^= 1 << bit;
-            return self.inner.write_block(blkno, &corrupted);
-        }
-        self.inner.write_block(blkno, buf)
-    }
-
-    fn flush(&self) -> KResult<()> {
-        self.inner.flush()
-    }
-
-    fn stats(&self) -> DeviceStats {
-        let mut s = self.inner.stats();
-        s.io_errors += self.injected.lock().io_errors;
-        s
     }
 }
 
@@ -993,48 +872,6 @@ mod tests {
         d.read_block(1, &mut out).unwrap();
         assert_eq!(out[0], 7);
         assert_eq!(d.restore(&[0u8; 3]), Err(Errno::EINVAL));
-    }
-
-    #[test]
-    fn faulty_device_injects_read_errors_deterministically() {
-        let cfg = FaultConfig {
-            read_error_rate: 1.0,
-            ..FaultConfig::default()
-        };
-        let d = FaultyDevice::new(RamDisk::new(4), cfg, 42);
-        let mut buf = vec![0u8; BLOCK_SIZE];
-        assert_eq!(d.read_block(0, &mut buf), Err(Errno::EIO));
-        assert!(d.stats().io_errors >= 1);
-    }
-
-    #[test]
-    fn faulty_device_torn_write_persists_prefix_only() {
-        let cfg = FaultConfig {
-            torn_write_rate: 1.0,
-            ..FaultConfig::default()
-        };
-        let d = FaultyDevice::new(RamDisk::new(4), cfg, 7);
-        let ones = vec![1u8; BLOCK_SIZE];
-        d.write_block(0, &ones).unwrap();
-        let mut out = vec![0u8; BLOCK_SIZE];
-        d.inner().read_block(0, &mut out).unwrap();
-        assert_eq!(out[0], 1, "some prefix must have landed");
-        assert_eq!(out[BLOCK_SIZE - 1], 0, "the tail must be old data");
-    }
-
-    #[test]
-    fn faulty_device_corruption_flips_one_bit() {
-        let cfg = FaultConfig {
-            corruption_rate: 1.0,
-            ..FaultConfig::default()
-        };
-        let d = FaultyDevice::new(RamDisk::new(4), cfg, 3);
-        let zeros = vec![0u8; BLOCK_SIZE];
-        d.write_block(0, &zeros).unwrap();
-        let mut out = vec![0u8; BLOCK_SIZE];
-        d.inner().read_block(0, &mut out).unwrap();
-        let flipped: u32 = out.iter().map(|b| b.count_ones()).sum();
-        assert_eq!(flipped, 1);
     }
 
     #[test]

@@ -6,9 +6,10 @@
 //! roadmap in an offline, deterministic setting, this crate supplies the
 //! pieces of Linux the roadmap's modules interact with:
 //!
-//! - [`block`]: block devices — a RAM disk, a fault-injecting wrapper, and a
-//!   crash-capturing wrapper that models a volatile write cache so that
-//!   crash-consistency checking can enumerate every crash point.
+//! - [`block`]: block devices — a RAM disk, one fault-injecting wrapper
+//!   ([`block::FaultyDisk`]), and a crash-capturing wrapper that models a
+//!   volatile write cache so that crash-consistency checking can enumerate
+//!   every crash point.
 //! - [`buffer`]: a buffer cache with Linux's `buffer_head` state flags (the
 //!   paper's §4.4 uses `buffer_head`'s sixteen flags as its motivating
 //!   example of complex interface semantics) and flag-combination validation.
@@ -42,7 +43,7 @@ pub mod scenario;
 pub mod time;
 pub mod workqueue;
 
-pub use block::{BlockDevice, CrashDevice, FaultConfig, FaultyDevice, RamDisk};
+pub use block::{BlockDevice, CrashDevice, RamDisk};
 pub use buffer::{BufferCache, BufferHead, BufferState};
 pub use elevator::ElevatorDevice;
 pub use errno::{Errno, KResult};

@@ -325,7 +325,11 @@ fn copy_tree_into(
                 let mut data = vec![0u8; attr.size as usize];
                 let n = src.read(entry.ino, 0, &mut data)?;
                 data.truncate(n);
-                dst.write(nf, 0, &data)?;
+                // An empty write is not a no-op (it stamps mtime), and an
+                // empty file has no bytes to copy.
+                if n > 0 {
+                    dst.write(nf, 0, &data)?;
+                }
                 map.insert(entry.ino, nf);
                 report.copied_files += 1;
                 report.copied_bytes += n as u64;

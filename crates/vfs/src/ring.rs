@@ -495,42 +495,6 @@ pub struct RingReactor {
 }
 
 impl RingReactor {
-    /// Starts a reactor over `ring` and `fs`, optionally throttled.
-    pub fn spawn(ring: Arc<Ring>, fs: Arc<dyn FileSystem>, throttle: Option<RingThrottle>) -> Self {
-        let r = Arc::clone(&ring);
-        let handle = std::thread::Builder::new()
-            .name("ring-reactor".into())
-            .spawn(move || while r.reactor_tick(fs.as_ref(), throttle.as_ref()) {})
-            .expect("spawn ring reactor");
-        RingReactor {
-            ring,
-            handle: Some(handle),
-        }
-    }
-
-    /// Starts a generation-aware reactor: batches are dispatched
-    /// through `handle` under a shared hold of `gate`, so every SQE
-    /// completes against the generation that is current when it is
-    /// processed — see [`Ring::reactor_tick_gated`]. This is the
-    /// reactor to use on a [`Vfs`](crate::path::Vfs) whose backend may
-    /// be hot-swapped by a [`Migrator`](crate::migrate::Migrator).
-    pub fn spawn_gated(
-        ring: Arc<Ring>,
-        handle: InterfaceHandle<dyn FileSystem>,
-        gate: Arc<SwapGate>,
-        throttle: Option<RingThrottle>,
-    ) -> Self {
-        let r = Arc::clone(&ring);
-        let h = std::thread::Builder::new()
-            .name("ring-reactor".into())
-            .spawn(move || while r.reactor_tick_gated(&handle, &gate, throttle.as_ref()) {})
-            .expect("spawn ring reactor");
-        RingReactor {
-            ring,
-            handle: Some(h),
-        }
-    }
-
     /// Starts `reactors` work-stealing reactors over one `ring` — each
     /// claims batches of at most `depth / reactors` SQEs (the claim
     /// grain), so a full queue splits across the pool. Dropping (or
@@ -566,12 +530,16 @@ impl RingReactor {
             .collect()
     }
 
-    /// Starts `reactors` generation-aware reactors over one `ring` —
-    /// the pool variant of [`RingReactor::spawn_gated`]. Every reactor
-    /// parks in `wait_ready` *outside* its shared gate hold, so a
-    /// migrator closing the [`SwapGate`] sees the whole pool idle and
-    /// drains queued SQEs itself; N reactors need no handshake beyond
-    /// the one reactor case.
+    /// Starts `reactors` generation-aware reactors over one `ring`:
+    /// batches are dispatched through `handle` under a shared hold of
+    /// `gate`, so every SQE completes against the generation that is
+    /// current when it is processed — see [`Ring::reactor_tick_gated`].
+    /// This is the pool to use on a [`Vfs`](crate::path::Vfs) whose
+    /// backend may be hot-swapped by a
+    /// [`Migrator`](crate::migrate::Migrator). Every reactor parks in
+    /// `wait_ready` *outside* its shared gate hold, so a migrator closing
+    /// the [`SwapGate`] sees the whole pool idle and drains queued SQEs
+    /// itself.
     ///
     /// # Panics
     ///
@@ -761,7 +729,7 @@ mod tests {
         let ring = Arc::new(Ring::new(&registry, 8));
         let fs: Arc<dyn FileSystem> = Arc::new(MemFs::new());
         let root = fs.root_ino();
-        let reactor = RingReactor::spawn(Arc::clone(&ring), Arc::clone(&fs), None);
+        let reactor = RingReactor::spawn_pool(Arc::clone(&ring), Arc::clone(&fs), None, 1);
         let mut tickets = Vec::new();
         for i in 0..64 {
             tickets.push(
@@ -775,7 +743,7 @@ mod tests {
         for t in tickets {
             assert!(matches!(ring.wait(t).reply, BatchReply::Create(Ok(_))));
         }
-        reactor.join();
+        reactor.into_iter().for_each(RingReactor::join);
         assert_eq!(fs.readdir(root).unwrap().len(), 64);
     }
 }

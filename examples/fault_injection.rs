@@ -3,7 +3,7 @@
 //! "The verified file system will appear buggy if either the block I/O
 //! layer is buggy or the model erroneous." This example runs the safe file
 //! system twice — once on honest hardware, once on hardware that silently
-//! corrupts one write in five — with the axiomatic device model wedged in
+//! corrupts one read in five — with the axiomatic device model wedged in
 //! between. On honest hardware the axioms stay silent; on rotten hardware
 //! they pinpoint the substrate, exonerating the file system.
 //!
@@ -19,7 +19,7 @@ use std::sync::Arc;
 use safer_kernel::core::spec::AxiomaticDevice;
 use safer_kernel::fs_safe::rsfs::{JournalMode, Rsfs};
 use safer_kernel::fs_safe::{fsck, journal::Journal};
-use safer_kernel::ksim::block::{BlockDevice, FaultConfig, FaultyDevice, RamDisk, BLOCK_SIZE};
+use safer_kernel::ksim::block::{BlockDevice, DiskFaultConfig, FaultyDisk, RamDisk, BLOCK_SIZE};
 use safer_kernel::vfs::modular::FileSystem;
 
 fn workload(fs: &Rsfs) {
@@ -48,12 +48,12 @@ fn main() {
     );
     assert!(axio.is_clean());
 
-    println!("\n== bit-rotting hardware (20% of writes corrupted) ==\n");
-    let rotten = FaultyDevice::new(
+    println!("\n== flaky hardware (20% of reads corrupted) ==\n");
+    let rotten = FaultyDisk::new(
         Arc::new(RamDisk::new(2048)) as Arc<dyn BlockDevice>,
-        FaultConfig {
-            corruption_rate: 0.2,
-            ..FaultConfig::default()
+        DiskFaultConfig {
+            read_corrupt: 0.2,
+            ..DiskFaultConfig::default()
         },
         2026,
     );
@@ -66,7 +66,7 @@ fn main() {
             // Corruption is only observable at read-back, and the cache
             // (plus deferred checkpointing) satisfies the workload's reads
             // from memory. Push everything home, drop the cache, and read
-            // it again from the rotten medium.
+            // it again from the flaky disk.
             let _ = fs.sync();
             fs.cache().invalidate();
             let root = fs.root_ino();
@@ -77,7 +77,7 @@ fn main() {
                 }
             }
         }
-        Err(e) => println!("mount already failed: {e} (rot hit the superblock)"),
+        Err(e) => println!("mount already failed: {e} (a corrupted read hit the superblock)"),
     }
     let violations = axio.violations();
     println!(

@@ -8,7 +8,7 @@ use safer_kernel::core::ownership::{Access, ContractTracker, Owned};
 use safer_kernel::core::shim::Boundary;
 use safer_kernel::core::spec::AxiomaticDevice;
 use safer_kernel::fs_safe::rsfs::{JournalMode, Rsfs};
-use safer_kernel::ksim::block::{BlockDevice, FaultConfig, FaultyDevice, RamDisk};
+use safer_kernel::ksim::block::{BlockDevice, DiskFaultConfig, FaultyDisk, RamDisk};
 use safer_kernel::ksim::errno::Errno;
 use safer_kernel::legacy::{BugClass, BugLedger, LegacyCtx};
 use safer_kernel::vfs::modular::FileSystem;
@@ -36,14 +36,14 @@ fn safe_fs_runs_on_an_axiomatically_checked_device() {
 
 #[test]
 fn axioms_catch_a_corrupting_device_under_the_fs() {
-    // The same module on bit-rotting hardware: the axiomatic model is what
-    // distinguishes "the verified fs is buggy" from "the substrate broke
-    // its contract" (§4.4's diagnosis problem).
-    let faulty = FaultyDevice::new(
+    // The same module on hardware that corrupts reads: the axiomatic
+    // model is what distinguishes "the verified fs is buggy" from "the
+    // substrate broke its contract" (§4.4's diagnosis problem).
+    let faulty = FaultyDisk::new(
         Arc::new(RamDisk::new(2048)) as Arc<dyn BlockDevice>,
-        FaultConfig {
-            corruption_rate: 0.3,
-            ..FaultConfig::default()
+        DiskFaultConfig {
+            read_corrupt: 0.3,
+            ..DiskFaultConfig::default()
         },
         1234,
     );

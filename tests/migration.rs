@@ -371,8 +371,13 @@ fn post_swap_sqes_complete_against_the_new_generation() {
     let vfs = Vfs::mount(&registry).unwrap();
     let locks = LockRegistry::new_disabled();
     let ring = Arc::new(Ring::new(&locks, 8));
-    let reactor =
-        RingReactor::spawn_gated(Arc::clone(&ring), vfs.fs_handle().clone(), vfs.gate(), None);
+    let reactor = RingReactor::spawn_gated_pool(
+        Arc::clone(&ring),
+        vfs.fs_handle().clone(),
+        vfs.gate(),
+        None,
+        1,
+    );
 
     // Pre-swap SQEs: whether the reactor or the migrator's drain
     // processes them, their effects must cross with the tree.
@@ -409,7 +414,7 @@ fn post_swap_sqes_complete_against_the_new_generation() {
             .unwrap();
         assert!(ring.wait(t).reply.result().is_ok(), "post-swap SQE failed");
     }
-    reactor.join();
+    reactor.into_iter().for_each(RingReactor::join);
 
     for i in 0..4 {
         assert!(

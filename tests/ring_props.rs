@@ -1,7 +1,9 @@
 //! Integration: the typed submission/completion ring over the VFS.
 //!
-//! Three contracts under test:
+//! Four contracts under test:
 //!
+//! - **one body per op** — the same op sequence applied per call and
+//!   through ring batches gives equal replies and equal final trees;
 //! - **ownership round-trip** — every buffer a client moves into the
 //!   ring comes back exactly once in its CQE, on success and on failure
 //!   (including a poisoned/EROFS journal), across arbitrary submitter
@@ -27,6 +29,7 @@ use parking_lot::Mutex;
 use proptest::prelude::*;
 use safer_kernel::core::spec::crash::{crash_images, judge_with_floor, CrashPolicy};
 use safer_kernel::core::spec::Refines;
+use safer_kernel::fs_safe::layout::MAX_FILE_SIZE;
 use safer_kernel::fs_safe::rsfs::{JournalMode, Rsfs};
 use safer_kernel::ksim::block::{
     BlockDevice, CrashDevice, DeviceStats, DiskFaultConfig, FaultyDisk, PendingWrite, RamDisk,
@@ -153,6 +156,189 @@ fn mixed_batch_matches_per_call_semantics() {
     assert!(fs.lock_registry().violations().is_empty());
 }
 
+/// Names for the per-call vs batch check: a pool of four, so creates
+/// collide, then invalid ones (`EINVAL`, `ENAMETOOLONG`).
+fn eq_name(i: usize) -> String {
+    match i {
+        0..=11 => ["a", "b", "c", "d"][i % 4].to_string(),
+        12 => String::new(),
+        13 => "x/y".into(),
+        14 => "..".into(),
+        _ => "n".repeat(300),
+    }
+}
+
+/// Offsets for the per-call vs batch check; the last is past the
+/// maximum file size (`EFBIG`, even for an empty write).
+const EQ_OFFS: [u64; 5] = [0, 100, 4000, 5000, MAX_FILE_SIZE + 1];
+
+/// One op of the per-call vs batch check, as plain data so the same
+/// sequence can be replayed on two mounts.
+#[derive(Debug, Clone)]
+enum EqOp {
+    Create {
+        dir: u64,
+        name: usize,
+    },
+    Unlink {
+        dir: u64,
+        name: usize,
+    },
+    Write {
+        ino: u64,
+        off: usize,
+        len: usize,
+        fill: u8,
+    },
+    Read {
+        ino: u64,
+        off: usize,
+        len: usize,
+    },
+    Fsync {
+        ino: u64,
+    },
+}
+
+impl EqOp {
+    fn to_batch(&self) -> BatchOp {
+        match *self {
+            EqOp::Create { dir, name } => BatchOp::Create {
+                dir,
+                name: eq_name(name),
+            },
+            EqOp::Unlink { dir, name } => BatchOp::Unlink {
+                dir,
+                name: eq_name(name),
+            },
+            EqOp::Write {
+                ino,
+                off,
+                len,
+                fill,
+            } => BatchOp::Write {
+                ino,
+                off: EQ_OFFS[off],
+                data: vec![fill; [0, 1, 300, 5000][len]],
+            },
+            EqOp::Read { ino, off, len } => BatchOp::Read {
+                ino,
+                off: EQ_OFFS[off],
+                buf: vec![0u8; [0, 64, 6000][len]],
+            },
+            EqOp::Fsync { ino } => BatchOp::Fsync { ino },
+        }
+    }
+}
+
+/// Ops aimed at every error arm: directories and files as parents
+/// (`ENOTDIR`), the mkdir'd directory as a file (`EISDIR`), never- or
+/// no-longer-allocated inode numbers (`ENOENT`), and out-of-range ones
+/// (`EINVAL`).
+fn eq_op() -> impl Strategy<Value = EqOp> {
+    (
+        0u8..11,
+        prop_oneof![Just(1u64), Just(2), 0u64..8],
+        prop_oneof![
+            Just(3u64),
+            Just(4),
+            2u64..8,
+            2u64..8,
+            2u64..8,
+            Just(0),
+            Just(500)
+        ],
+        0usize..16,
+        0usize..EQ_OFFS.len(),
+        0usize..4,
+        any::<u8>(),
+    )
+        .prop_map(|(kind, dir, ino, name, off, len, fill)| match kind {
+            0..=2 => EqOp::Create { dir, name },
+            3..=4 => EqOp::Unlink { dir, name },
+            5..=7 => EqOp::Write {
+                ino,
+                off,
+                len,
+                fill,
+            },
+            8..=9 => EqOp::Read {
+                ino,
+                off,
+                len: len % 3,
+            },
+            _ => EqOp::Fsync { ino },
+        })
+}
+
+/// Applies `op` through the per-call `FileSystem` methods, shaped as the
+/// reply the batch path gives.
+fn apply_per_call(fs: &Rsfs, op: BatchOp) -> BatchReply {
+    match op {
+        BatchOp::Create { dir, name } => BatchReply::Create(fs.create(dir, &name)),
+        BatchOp::Unlink { dir, name } => BatchReply::Unlink(fs.unlink(dir, &name)),
+        BatchOp::Write { ino, off, data } => BatchReply::Write {
+            result: fs.write(ino, off, &data),
+            buf: data,
+        },
+        BatchOp::Read { ino, off, mut buf } => {
+            let result = fs.read(ino, off, &mut buf);
+            BatchReply::Read { result, buf }
+        }
+        BatchOp::Fsync { ino } => BatchReply::Fsync(fs.fsync(ino)),
+    }
+}
+
+/// A fresh mount with a directory `d` (inode 2) and a file `f` (inode 3)
+/// under the root.
+fn eq_mount(mode: JournalMode) -> Arc<Rsfs> {
+    let (_faulty, fs) = mount_over_faulty(2048, mode);
+    assert_eq!(fs.mkdir(1, "d"), Ok(2));
+    assert_eq!(fs.create(1, "f"), Ok(3));
+    assert_eq!(fs.write(3, 0, b"seed"), Ok(4));
+    fs
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// The batch path and the per-call path are one set of op bodies:
+    /// the same op sequence, applied per call on one mount and cut into
+    /// ring batches at random points on another, gives equal replies
+    /// (results and read bytes) and equal final trees, under every
+    /// journal mode.
+    #[test]
+    fn batch_and_per_call_paths_agree(
+        ops in prop::collection::vec(eq_op(), 1..48),
+        cuts in prop::collection::vec(any::<bool>(), 48),
+    ) {
+        for mode in [JournalMode::None, JournalMode::PerOp, JournalMode::Async] {
+            let per_call = eq_mount(mode);
+            let batched = eq_mount(mode);
+            let ring = Ring::new(batched.lock_registry(), 64);
+            // (op index, ticket, per-call reply) of the open batch.
+            let mut open = Vec::new();
+            for (i, op) in ops.iter().enumerate() {
+                let want = apply_per_call(&per_call, op.to_batch());
+                open.push((i, ring.submit(op.to_batch()).unwrap(), want));
+                if cuts[i] || i + 1 == ops.len() {
+                    prop_assert_eq!(ring.drain_once(&*batched), open.len());
+                    for (j, t, want) in open.drain(..) {
+                        let got = ring.wait(t).reply;
+                        prop_assert_eq!(
+                            format!("{got:?}"),
+                            format!("{want:?}"),
+                            "{:?} op {}: {:?}", mode, j, ops[j]
+                        );
+                    }
+                }
+            }
+            prop_assert_eq!(batched.abstraction(), per_call.abstraction(), "{:?}", mode);
+            prop_assert!(batched.lock_registry().violations().is_empty());
+        }
+    }
+}
+
 /// A poisoned (aborted, EROFS) journal fails CQEs cleanly: buffers come
 /// back, nothing is acknowledged, and later submissions are refused.
 /// PerOp mode makes the chunk commit itself touch the device, so the
@@ -246,10 +432,10 @@ proptest! {
         let fs_dyn: Arc<dyn FileSystem> = Arc::clone(&fs) as Arc<dyn FileSystem>;
         let relieve_fs = Arc::clone(&fs);
         let pressure_fs = Arc::clone(&fs);
-        let reactor = RingReactor::spawn(
+        let reactor = RingReactor::spawn_pool(
             Arc::clone(&ring),
             fs_dyn,
-            Some(RingThrottle {
+            Some(Arc::new(RingThrottle {
                 pressure: Box::new(move || {
                     pressure_fs.journal().map_or(0.0, |j| j.log_pressure())
                 }),
@@ -258,7 +444,8 @@ proptest! {
                     let _ = relieve_fs.checkpoint(usize::MAX);
                 }),
                 threshold: 0.5,
-            }),
+            })),
+            1,
         );
         if let Some(n) = fail_write_at {
             faulty.fail_nth_write(n);
@@ -331,7 +518,7 @@ proptest! {
         prop_assert_eq!(all_returned.len(), clients * writes_per_client);
         prop_assert_eq!(total_reads, clients * reads_per_client);
 
-        reactor.join();
+        reactor.into_iter().for_each(RingReactor::join);
         let stats = ring.stats();
         prop_assert_eq!(stats.submitted, stats.completed, "every SQE got a CQE");
         prop_assert!(fs.lock_registry().violations().is_empty(),
@@ -369,17 +556,18 @@ fn slow_disk_backpressure_blocks_submitters() {
     let fs_dyn: Arc<dyn FileSystem> = Arc::clone(&fs) as Arc<dyn FileSystem>;
     let relieve_fs = Arc::clone(&fs);
     let pressure_fs = Arc::clone(&fs);
-    let reactor = RingReactor::spawn(
+    let reactor = RingReactor::spawn_pool(
         Arc::clone(&ring),
         fs_dyn,
-        Some(RingThrottle {
+        Some(Arc::new(RingThrottle {
             pressure: Box::new(move || pressure_fs.journal().map_or(0.0, |j| j.log_pressure())),
             relieve: Box::new(move || {
                 let _ = relieve_fs.commit_running();
                 let _ = relieve_fs.checkpoint(usize::MAX);
             }),
             threshold: 0.25,
-        }),
+        })),
+        1,
     );
 
     let done = Arc::new(AtomicBool::new(false));
@@ -428,7 +616,7 @@ fn slow_disk_backpressure_blocks_submitters() {
     }
     done.store(true, Ordering::Relaxed);
     let max_pressure = sampler.join().unwrap();
-    reactor.join();
+    reactor.into_iter().for_each(RingReactor::join);
 
     let stats = ring.stats();
     assert!(

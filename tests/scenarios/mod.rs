@@ -385,17 +385,18 @@ fn eio_ring_batch_commit_fsync_watermark(engine: &Arc<ScenarioEngine>) -> Result
     let fs_dyn: Arc<dyn FileSystem> = Arc::clone(&fs) as Arc<dyn FileSystem>;
     let pressure_fs = Arc::clone(&fs);
     let relieve_fs = Arc::clone(&fs);
-    let reactor = RingReactor::spawn(
+    let reactor = RingReactor::spawn_pool(
         Arc::clone(&ring),
         fs_dyn,
-        Some(RingThrottle {
+        Some(Arc::new(RingThrottle {
             pressure: Box::new(move || pressure_fs.journal().map_or(0.0, |j| j.log_pressure())),
             relieve: Box::new(move || {
                 let _ = relieve_fs.commit_running();
                 let _ = relieve_fs.checkpoint(usize::MAX);
             }),
             threshold: 0.5,
-        }),
+        })),
+        1,
     );
 
     let mut models = vec![fs.abstraction()];
@@ -465,7 +466,7 @@ fn eio_ring_batch_commit_fsync_watermark(engine: &Arc<ScenarioEngine>) -> Result
             }
         }
     }
-    reactor.join();
+    reactor.into_iter().for_each(RingReactor::join);
 
     let stats = ring.stats();
     if stats.submitted != stats.completed {
@@ -1489,14 +1490,24 @@ fn panic_text(p: Box<dyn std::any::Any + Send>) -> String {
         .unwrap_or_else(|| "opaque panic payload".into())
 }
 
-/// Runs one scenario at one seed; on failure prints the seed, the
-/// verdict, the exact replay command, and the trace tail.
+/// Runs one scenario at one seed. Every run prints a `SCENARIO-TRACE`
+/// line (trace length and hash, verdict) so two builds' traces compare
+/// with one `diff`; on failure it also prints the verdict, the exact
+/// replay command, and the trace tail.
 fn run_one(name: &str, f: ScenarioFn, seed: u64) -> Result<(), String> {
     let engine = ScenarioEngine::new(seed);
     let verdict = match catch_unwind(AssertUnwindSafe(|| f(&engine))) {
         Ok(v) => v,
         Err(p) => Err(format!("panic: {}", panic_text(p))),
     };
+    let mut hasher = std::hash::DefaultHasher::new();
+    std::hash::Hash::hash(&engine.trace_text(), &mut hasher);
+    eprintln!(
+        "SCENARIO-TRACE {name} seed={seed} len={} hash={:016x} ok={}",
+        engine.trace_len(),
+        std::hash::Hasher::finish(&hasher),
+        verdict.is_ok()
+    );
     if let Err(why) = &verdict {
         eprintln!("SCENARIO-FAIL scenario={name} seed={seed}");
         eprintln!("  verdict: {why}");

@@ -258,17 +258,18 @@ fn ring_soak_over_transient_eio_is_lockdep_clean() {
     let fs_dyn: Arc<dyn FileSystem> = Arc::clone(&fs) as Arc<dyn FileSystem>;
     let pressure_fs = Arc::clone(&fs);
     let relieve_fs = Arc::clone(&fs);
-    let reactor = RingReactor::spawn(
+    let reactor = RingReactor::spawn_pool(
         Arc::clone(&ring),
         fs_dyn,
-        Some(RingThrottle {
+        Some(Arc::new(RingThrottle {
             pressure: Box::new(move || pressure_fs.journal().map_or(0.0, |j| j.log_pressure())),
             relieve: Box::new(move || {
                 let _ = relieve_fs.commit_running();
                 let _ = relieve_fs.checkpoint(usize::MAX);
             }),
             threshold: 0.5,
-        }),
+        })),
+        1,
     );
 
     let handles: Vec<_> = (0..CLIENTS)
@@ -324,7 +325,7 @@ fn ring_soak_over_transient_eio_is_lockdep_clean() {
     for h in handles {
         h.join().unwrap();
     }
-    reactor.join();
+    reactor.into_iter().for_each(RingReactor::join);
 
     let stats = ring.stats();
     assert_eq!(
