@@ -41,7 +41,9 @@
 //!   kernel would sleep on.
 //! - **Per-class counters.** Acquisitions, contended acquisitions and
 //!   cumulative hold time per class, surfaced via
-//!   [`LockRegistry::class_stats`] for `bench_report --lockdep`.
+//!   [`LockRegistry::class_stats`] for `bench_report --lockdep`. Hold
+//!   time needs two clock reads per acquisition, so it is measured only
+//!   while lockdep is enabled; a disabled registry reports 0.
 //!
 //! Reports are deduplicated per class pair (cycles), per class (nesting)
 //! and per class+operation (I/O), so a hot loop produces one finding, not
@@ -53,8 +55,8 @@
 //! [`TrackedMutex`] and [`TrackedRwLock`] wrap `parking_lot` primitives for
 //! the hot paths (buffer-cache shards, journal state, dcache shards,
 //! netstack tables); a registry constructed with
-//! [`LockRegistry::new_disabled`] skips all graph work so benchmarks can
-//! opt out of the instrumentation cost.
+//! [`LockRegistry::new_disabled`] skips all graph work and the hold-time
+//! clock, so benchmarks can opt out of the instrumentation cost.
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -117,7 +119,8 @@ pub struct ClassStats {
     pub acquisitions: u64,
     /// Acquisitions that found the lock held and had to block.
     pub contended: u64,
-    /// Cumulative wall-clock hold time in nanoseconds.
+    /// Cumulative wall-clock hold time in nanoseconds, measured only
+    /// while the registry is enabled (0 on a disabled registry).
     pub held_ns: u64,
 }
 
@@ -214,9 +217,10 @@ impl LockRegistry {
         Arc::new(LockRegistry::default())
     }
 
-    /// Creates a registry with lockdep checking disabled: counters still
-    /// accumulate, but no graph or held-stack work happens for the
-    /// tracked wrapper types (benchmarks use this to measure the
+    /// Creates a registry with lockdep checking disabled: acquisition and
+    /// contention counters still accumulate, but no graph or held-stack
+    /// work happens for the tracked wrapper types and no guard reads the
+    /// clock, so `held_ns` stays 0 (benchmarks use this to measure the
     /// uninstrumented hot path).
     pub fn new_disabled() -> Arc<Self> {
         let r = LockRegistry::default();
@@ -442,11 +446,23 @@ impl LockRegistry {
     }
 }
 
+/// Adds the hold time since `since` to the class total. Guards stamp
+/// `since` only while the registry is enabled, so a disabled registry's
+/// acquisitions read no clock at all.
+fn add_held(counters: &ClassCounters, since: Option<Instant>) {
+    if let Some(t) = since {
+        counters
+            .held_ns
+            .fetch_add(t.elapsed().as_nanos() as u64, Ordering::Relaxed);
+    }
+}
+
 /// A mutex whose acquisitions are tracked by a [`LockRegistry`].
 ///
 /// `KLock` is the op-level primitive: it always maintains the held stack
-/// (so [`Protected`] contracts work even on a disabled registry) and
-/// participates in the acquires-after graph when the registry is enabled.
+/// and feeds the acquires-after graph (so [`Protected`] contracts work
+/// even on a disabled registry), but it measures hold time only when the
+/// registry is enabled.
 pub struct KLock<T> {
     mutex: Mutex<T>,
     id: LockId,
@@ -462,7 +478,7 @@ pub struct KLockGuard<'a, T> {
     id: LockId,
     counters: &'a ClassCounters,
     registry: &'a LockRegistry,
-    since: Instant,
+    since: Option<Instant>,
 }
 
 impl<T> KLock<T> {
@@ -495,7 +511,7 @@ impl<T> KLock<T> {
             id: self.id,
             counters: &self.counters,
             registry: &self.registry,
-            since: Instant::now(),
+            since: self.registry.is_enabled().then(Instant::now),
         }
     }
 
@@ -530,9 +546,7 @@ impl<T> std::ops::DerefMut for KLockGuard<'_, T> {
 
 impl<T> Drop for KLockGuard<'_, T> {
     fn drop(&mut self) {
-        self.counters
-            .held_ns
-            .fetch_add(self.since.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        add_held(self.counters, self.since);
         // Unregister before the underlying mutex releases so a racing
         // acquirer never observes us as "still holding".
         self.registry.on_release(self.id);
@@ -543,7 +557,8 @@ impl<T> Drop for KLockGuard<'_, T> {
 /// A `parking_lot::Mutex` whose acquisitions feed the lockdep graph.
 ///
 /// This is the hot-path primitive: when the registry is disabled the only
-/// overhead over the raw mutex is three relaxed atomic counter updates.
+/// overhead over the raw mutex is its relaxed atomic counter updates (no
+/// graph work, no clock reads).
 pub struct TrackedMutex<T> {
     mutex: Mutex<T>,
     id: LockId,
@@ -558,7 +573,7 @@ pub struct TrackedMutexGuard<'a, T> {
     guard: Option<MutexGuard<'a, T>>,
     lock: &'a TrackedMutex<T>,
     registered: bool,
-    since: Instant,
+    since: Option<Instant>,
 }
 
 impl<T> TrackedMutex<T> {
@@ -636,7 +651,7 @@ impl<T> TrackedMutex<T> {
             guard: Some(guard),
             lock: self,
             registered,
-            since: Instant::now(),
+            since: registered.then(Instant::now),
         }
     }
 
@@ -654,23 +669,16 @@ impl<T> TrackedMutex<T> {
             guard: Some(guard),
             lock: self,
             registered,
-            since: Instant::now(),
+            since: registered.then(Instant::now),
         })
     }
 }
 
 impl<'a, T> TrackedMutexGuard<'a, T> {
-    fn flush_hold_time(&mut self) {
-        self.lock
-            .counters
-            .held_ns
-            .fetch_add(self.since.elapsed().as_nanos() as u64, Ordering::Relaxed);
-    }
-
     /// Blocks on `cv`, releasing the mutex while waiting. The lock is
     /// de-registered for the duration — a waiter holds nothing.
     pub fn wait(&mut self, cv: &Condvar) {
-        self.flush_hold_time();
+        add_held(&self.lock.counters, self.since);
         if self.registered {
             self.lock.registry.on_release(self.lock.id);
         }
@@ -684,13 +692,13 @@ impl<'a, T> TrackedMutexGuard<'a, T> {
             .counters
             .acquisitions
             .fetch_add(1, Ordering::Relaxed);
-        self.since = Instant::now();
+        self.since = self.registered.then(Instant::now);
     }
 
     /// Temporarily releases the mutex around `f` (device I/O without the
     /// lock), re-acquiring afterwards.
     pub fn unlocked<R>(&mut self, f: impl FnOnce() -> R) -> R {
-        self.flush_hold_time();
+        add_held(&self.lock.counters, self.since);
         if self.registered {
             self.lock.registry.on_release(self.lock.id);
         }
@@ -704,7 +712,7 @@ impl<'a, T> TrackedMutexGuard<'a, T> {
             .counters
             .acquisitions
             .fetch_add(1, Ordering::Relaxed);
-        self.since = Instant::now();
+        self.since = self.registered.then(Instant::now);
         r
     }
 }
@@ -724,7 +732,7 @@ impl<T> std::ops::DerefMut for TrackedMutexGuard<'_, T> {
 
 impl<T> Drop for TrackedMutexGuard<'_, T> {
     fn drop(&mut self) {
-        self.flush_hold_time();
+        add_held(&self.lock.counters, self.since);
         if self.registered {
             self.lock.registry.on_release(self.lock.id);
         }
@@ -750,7 +758,7 @@ pub struct TrackedReadGuard<'a, T> {
     guard: Option<RwLockReadGuard<'a, T>>,
     lock: &'a TrackedRwLock<T>,
     registered: bool,
-    since: Instant,
+    since: Option<Instant>,
 }
 
 /// Exclusive-write guard for a [`TrackedRwLock`].
@@ -758,7 +766,7 @@ pub struct TrackedWriteGuard<'a, T> {
     guard: Option<RwLockWriteGuard<'a, T>>,
     lock: &'a TrackedRwLock<T>,
     registered: bool,
-    since: Instant,
+    since: Option<Instant>,
 }
 
 impl<T> TrackedRwLock<T> {
@@ -820,7 +828,7 @@ impl<T> TrackedRwLock<T> {
             guard: Some(guard),
             lock: self,
             registered,
-            since: Instant::now(),
+            since: registered.then(Instant::now),
         }
     }
 
@@ -838,7 +846,7 @@ impl<T> TrackedRwLock<T> {
             guard: Some(guard),
             lock: self,
             registered,
-            since: Instant::now(),
+            since: registered.then(Instant::now),
         }
     }
 
@@ -850,7 +858,7 @@ impl<T> TrackedRwLock<T> {
             guard: Some(guard),
             lock: self,
             registered,
-            since: Instant::now(),
+            since: registered.then(Instant::now),
         })
     }
 }
@@ -866,10 +874,7 @@ macro_rules! rw_guard_impl {
 
         impl<T> Drop for $guard<'_, T> {
             fn drop(&mut self) {
-                self.lock
-                    .counters
-                    .held_ns
-                    .fetch_add(self.since.elapsed().as_nanos() as u64, Ordering::Relaxed);
+                add_held(&self.lock.counters, self.since);
                 if self.registered {
                     self.lock.registry.on_release(self.lock.id);
                 }
@@ -966,6 +971,7 @@ impl<T: Clone> Protected<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     #[test]
     fn guard_registers_and_unregisters() {
@@ -1223,6 +1229,95 @@ mod tests {
         let stats = reg.class_stats();
         assert_eq!(stats.len(), 2);
         assert!(stats.iter().all(|s| s.acquisitions == 2));
+    }
+
+    /// Runs every guard kind once, each in its own class, sleeping `hold`
+    /// under it: `lock`, `try_lock`, across a condvar `wait` (the sleep
+    /// follows the reacquisition), across `unlocked`, rw `read`, `write`
+    /// and `try_write`, and `KLock`.
+    fn hold_every_guard_kind(reg: &Arc<LockRegistry>, hold: Duration) {
+        let lock = TrackedMutex::new(reg, "lock", ());
+        let try_lock = TrackedMutex::new(reg, "try_lock", ());
+        let wait = TrackedMutex::new(reg, "wait", false);
+        let unlocked = TrackedMutex::new(reg, "unlocked", ());
+        let read = TrackedRwLock::new(reg, "read", ());
+        let write = TrackedRwLock::new(reg, "write", ());
+        let try_write = TrackedRwLock::new(reg, "try_write", ());
+        let klock = KLock::new(Arc::clone(reg), "klock", ());
+        {
+            let _g = lock.lock();
+            thread::sleep(hold);
+        }
+        {
+            let _g = try_lock.try_lock().expect("uncontended");
+            thread::sleep(hold);
+        }
+        let cv = Condvar::new();
+        thread::scope(|s| {
+            let mut g = wait.lock();
+            // The notifier can take the lock only once `wait` released it.
+            s.spawn(|| {
+                *wait.lock() = true;
+                cv.notify_all();
+            });
+            while !*g {
+                g.wait(&cv);
+            }
+            thread::sleep(hold);
+        });
+        {
+            let mut g = unlocked.lock();
+            g.unlocked(|| ());
+            thread::sleep(hold);
+        }
+        {
+            let _g = read.read();
+            thread::sleep(hold);
+        }
+        {
+            let _g = write.write();
+            thread::sleep(hold);
+        }
+        {
+            let _g = try_write.try_write().expect("uncontended");
+            thread::sleep(hold);
+        }
+        {
+            let _g = klock.lock();
+            thread::sleep(hold);
+        }
+    }
+
+    #[test]
+    fn disabled_registry_reads_no_clock_but_counts_acquisitions() {
+        let reg = LockRegistry::new_disabled();
+        hold_every_guard_kind(&reg, Duration::from_millis(1));
+        let stats = reg.class_stats();
+        assert_eq!(stats.len(), 8);
+        for s in &stats {
+            assert_eq!(s.held_ns, 0, "{}: lockdep off, no hold time", s.name);
+            // The waiter takes its lock twice (before and after the
+            // wait) and the notifier once; every other kind once, and
+            // `unlocked` twice.
+            let want = match s.name {
+                "wait" => 3,
+                "unlocked" => 2,
+                _ => 1,
+            };
+            assert!(s.acquisitions >= want, "{}: {}", s.name, s.acquisitions);
+        }
+    }
+
+    #[test]
+    fn enabled_registry_measures_hold_time_under_every_guard_kind() {
+        let reg = LockRegistry::new();
+        hold_every_guard_kind(&reg, Duration::from_millis(1));
+        let stats = reg.class_stats();
+        assert_eq!(stats.len(), 8);
+        for s in &stats {
+            assert!(s.held_ns >= 1_000_000, "{}: held {} ns", s.name, s.held_ns);
+        }
+        assert!(reg.violations().is_empty(), "{:?}", reg.violations());
     }
 
     #[test]

@@ -434,7 +434,13 @@ mod tests {
     #[test]
     fn concurrent_walks_hit_distinct_shards() {
         use std::sync::Arc;
-        let d = Arc::new(Dcache::new(1024));
+        // Every shard can hold the whole 1,600-entry working set, so no
+        // entry is evicted between a thread's insert and its get; with a
+        // smaller cache a descheduled thread could lose its entry to the
+        // other threads' inserts, which is LRU working, not a striping
+        // bug (eviction is covered by `capacity_evicts_least_recent` and
+        // `sharded_capacity_stays_bounded`).
+        let d = Arc::new(Dcache::new(DEFAULT_SHARDS * 1600));
         let mut handles = Vec::new();
         for t in 0..8u64 {
             let d = Arc::clone(&d);
@@ -450,7 +456,12 @@ mod tests {
             h.join().unwrap();
         }
         let s = d.stats();
+        assert_eq!(s.evictions, 0);
         assert_eq!(s.hits, 1600);
-        assert!(d.len() <= 1024);
+        assert_eq!(d.len(), 1600);
+        assert!(
+            d.shards.iter().all(|sh| !sh.lock().map.is_empty()),
+            "entries stripe over every shard"
+        );
     }
 }

@@ -32,21 +32,23 @@
 //! a batch is owned by exactly one reactor, and the claim grain
 //! ([`Ring::set_claim_grain`], set automatically by the pool spawners)
 //! splits a full queue across the pool instead of letting one reactor
-//! take everything. Completions use *batched* CQE wakeups — one
-//! broadcast per posted batch rather than one notify per ticket — and
-//! idle reactors follow an adaptive spin-then-park policy so a busy
-//! ring never pays a park/unpark per batch. Every wake is gated on a
-//! count of threads parked on that condvar, kept under the state lock:
-//! a submit wakes a reactor only if one is parked, a drain wakes at most
-//! one parked submitter per freed slot, and a post broadcasts only if a
-//! client is parked, so no wake goes to nobody.
+//! take everything. Completions wake *exactly* the clients waiting on
+//! them: a client that finds no reply registers its thread under its
+//! ticket and parks, and a post unparks the threads registered under the
+//! tickets it posted, so no client wakes for another client's reply and
+//! a client that finds its reply posted never parks. Idle reactors
+//! follow an adaptive spin-then-park policy so a busy ring never pays a
+//! park/unpark per batch. The queue-side wakes are gated on a count of
+//! threads parked on that condvar, kept under the state lock: a submit
+//! wakes a reactor only if one is parked, and a drain wakes at most one
+//! parked submitter per freed slot.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
+use std::thread::{JoinHandle, Thread};
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Condvar;
 use sk_core::modularity::InterfaceHandle;
 use sk_ksim::lock::{LockRegistry, TrackedMutex, TrackedMutexGuard};
 
@@ -83,11 +85,15 @@ pub struct RingStats {
 struct RingState {
     sq: VecDeque<(u64, BatchOp)>,
     cq: HashMap<u64, BatchReply>,
+    /// Clients parked in [`Ring::wait`], by the ticket each waits for;
+    /// a post unparks exactly the entries of the tickets it posts.
+    waiting: HashMap<u64, Thread>,
     next_ticket: u64,
     shutdown: bool,
     /// Threads parked on each condvar, counted under this lock so a
     /// signaller skips the wake syscall when nobody is there to wake.
     parked: Parked,
+    stats: RingStats,
 }
 
 #[derive(Default)]
@@ -96,8 +102,6 @@ struct Parked {
     submitters: usize,
     /// Reactors idle on an empty queue (`sq_ready`).
     reactors: usize,
-    /// Clients blocked in [`Ring::wait`] (`cq_ready`).
-    waiters: usize,
 }
 
 /// Waits on `cv` with `count` raised for the duration, so the signalling
@@ -131,12 +135,6 @@ pub struct Ring {
     sq_space: Condvar,
     /// Signalled when the submission queue gains entries (or shutdown).
     sq_ready: Condvar,
-    /// Batched CQE wakeup: one broadcast per posted batch. Waiters
-    /// re-check their own ticket under the state lock; at any real
-    /// depth most parked clients have a completion in the batch that
-    /// woke them, so the broadcast replaces a notify-per-ticket storm
-    /// with a single call.
-    cq_ready: Condvar,
     /// Lock-free mirror of `sq.len()` for the spin phase of the idle
     /// policy — reactors peek at it without touching the state lock.
     sq_len: AtomicUsize,
@@ -148,8 +146,6 @@ pub struct Ring {
     /// others admit their batch instead of stacking redundant
     /// commit+checkpoint cycles behind the same journal group lock.
     relieving: AtomicBool,
-    /// Leaf counters; never held across another acquisition.
-    stats: Mutex<RingStats>,
 }
 
 /// Spin-budget bounds for the adaptive idle policy (iterations of
@@ -175,18 +171,18 @@ impl Ring {
                 RingState {
                     sq: VecDeque::with_capacity(depth),
                     cq: HashMap::new(),
+                    waiting: HashMap::new(),
                     next_ticket: 1,
                     shutdown: false,
                     parked: Parked::default(),
+                    stats: RingStats::default(),
                 },
             ),
             sq_space: Condvar::new(),
             sq_ready: Condvar::new(),
-            cq_ready: Condvar::new(),
             sq_len: AtomicUsize::new(0),
             spin_budget: AtomicU32::new(SPIN_MIN),
             relieving: AtomicBool::new(false),
-            stats: Mutex::new(RingStats::default()),
         }
     }
 
@@ -206,7 +202,7 @@ impl Ring {
 
     /// Traffic counters.
     pub fn stats(&self) -> RingStats {
-        *self.stats.lock()
+        self.state.lock().stats
     }
 
     /// Enqueues one typed operation, transferring ownership of any
@@ -219,7 +215,7 @@ impl Ring {
     pub fn submit(&self, op: BatchOp) -> Result<u64, BatchOp> {
         let mut st = self.state.lock();
         if st.sq.len() >= self.depth && !st.shutdown {
-            self.stats.lock().sq_full_blocks += 1;
+            st.stats.sq_full_blocks += 1;
             while st.sq.len() >= self.depth && !st.shutdown {
                 park(&mut st, &self.sq_space, |p| &mut p.submitters);
             }
@@ -231,7 +227,7 @@ impl Ring {
         st.next_ticket += 1;
         st.sq.push_back((ticket, op));
         self.sq_len.store(st.sq.len(), Ordering::Relaxed);
-        self.stats.lock().submitted += 1;
+        st.stats.submitted += 1;
         if st.parked.reactors > 0 {
             self.sq_ready.notify_one();
         }
@@ -243,13 +239,22 @@ impl Ring {
     /// Every ticket [`Ring::submit`] accepted is eventually completed —
     /// the reactor drains the residual queue on shutdown — and each
     /// ticket's CQE can be claimed exactly once.
+    ///
+    /// A client whose reply is not there yet registers its thread under
+    /// `ticket` and parks until the post of that ticket unparks it. The
+    /// registration happens under the state lock, and the thread's park
+    /// token keeps an unpark that lands between the registration and the
+    /// park, so no wake is lost; the loop absorbs spurious returns.
     pub fn wait(&self, ticket: u64) -> Cqe {
-        let mut st = self.state.lock();
         loop {
-            if let Some(reply) = st.cq.remove(&ticket) {
-                return Cqe { ticket, reply };
+            {
+                let mut st = self.state.lock();
+                if let Some(reply) = st.cq.remove(&ticket) {
+                    return Cqe { ticket, reply };
+                }
+                st.waiting.insert(ticket, std::thread::current());
             }
-            park(&mut st, &self.cq_ready, |p| &mut p.waiters);
+            std::thread::park();
         }
     }
 
@@ -326,28 +331,29 @@ impl Ring {
         batch
     }
 
-    /// Posts one reply per drained SQE, then wakes waiters with a
-    /// single broadcast — the batched CQE wakeup — if any client is
-    /// parked. One notify per *batch*, not per ticket: at any real depth
-    /// most parked clients have a completion in the batch, so the
-    /// per-ticket bookkeeping bought nothing and cost a waiter map under
-    /// the hot lock.
+    /// Posts one reply per drained SQE, then unparks exactly the clients
+    /// registered as waiting on the posted tickets, after the state lock
+    /// is dropped. A client parked on another ticket sleeps on, and a
+    /// client that has not reached [`Ring::wait`] yet finds its reply
+    /// there without parking.
     fn post(&self, tickets: Vec<u64>, replies: Vec<BatchReply>) {
         debug_assert_eq!(tickets.len(), replies.len());
-        let n = replies.len() as u64;
-        let waiters = {
+        let wake: Vec<Thread> = {
             let mut st = self.state.lock();
-            for (ticket, reply) in tickets.into_iter().zip(replies) {
-                st.cq.insert(ticket, reply);
-            }
-            st.parked.waiters
+            st.stats.completed += replies.len() as u64;
+            st.stats.batches += 1;
+            tickets
+                .into_iter()
+                .zip(replies)
+                .filter_map(|(ticket, reply)| {
+                    st.cq.insert(ticket, reply);
+                    st.waiting.remove(&ticket)
+                })
+                .collect()
         };
-        if waiters > 0 {
-            self.cq_ready.notify_all();
+        for t in wake {
+            t.unpark();
         }
-        let mut stats = self.stats.lock();
-        stats.completed += n;
-        stats.batches += 1;
     }
 
     /// One reactor step: drain a batch (blocking until work or
@@ -390,7 +396,7 @@ impl Ring {
         }
         let mut rounds = 0;
         while (t.pressure)() >= t.threshold && rounds < 8 {
-            self.stats.lock().throttle_stalls += 1;
+            self.state.lock().stats.throttle_stalls += 1;
             (t.relieve)();
             rounds += 1;
         }
@@ -598,8 +604,10 @@ impl Drop for RingReactor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::inode::InodeNo;
     use crate::memfs::MemFs;
     use crate::modular::BatchOp;
+    use std::time::Duration;
 
     #[test]
     fn submit_process_reap_roundtrip() {
@@ -691,6 +699,87 @@ mod tests {
             Err(BatchOp::Write { data, .. }) => assert_eq!(data, vec![1, 2, 3]),
             other => panic!("expected refusal with buffer, got {other:?}"),
         }
+    }
+
+    /// Drains at most one SQE and posts its reply: one batch per ticket.
+    fn step_one(ring: &Ring, fs: &dyn FileSystem) {
+        let (tickets, ops): (Vec<u64>, Vec<BatchOp>) =
+            ring.take_sqes(ring.state.lock(), 1).into_iter().unzip();
+        ring.post(tickets, fs.submit_batch(ops));
+    }
+
+    fn create(ring: &Ring, dir: InodeNo, name: &str) -> u64 {
+        ring.submit(BatchOp::Create {
+            dir,
+            name: name.into(),
+        })
+        .unwrap()
+    }
+
+    #[test]
+    fn post_wakes_only_the_client_waiting_on_its_ticket() {
+        let registry = LockRegistry::new();
+        let ring = Arc::new(Ring::new(&registry, 4));
+        let fs = MemFs::new();
+        let root = fs.root_ino();
+        let a = create(&ring, root, "a");
+        let b = create(&ring, root, "b");
+        let (tx, rx) = std::sync::mpsc::channel();
+        let client = {
+            let ring = Arc::clone(&ring);
+            std::thread::spawn(move || tx.send(ring.wait(b).ticket).unwrap())
+        };
+        while !ring.state.lock().waiting.contains_key(&b) {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+
+        let ring_acquisitions = || {
+            registry
+                .class_stats()
+                .iter()
+                .find(|s| s.name == "vfs.ring")
+                .map_or(0, |s| s.acquisitions)
+        };
+        let before = ring_acquisitions();
+        step_one(&ring, &fs);
+        assert!(
+            rx.recv_timeout(Duration::from_millis(100)).is_err(),
+            "the client on B returned when A posted"
+        );
+        // A client woken for A would retake the ring lock to look for
+        // its reply; only the claim and the post may have taken it.
+        assert_eq!(ring_acquisitions() - before, 2, "A's post woke B's client");
+        let st = ring.state.lock();
+        assert!(st.cq.contains_key(&a), "A's reply is posted");
+        assert!(st.waiting.contains_key(&b), "A's post left B's waiter");
+        drop(st);
+
+        step_one(&ring, &fs);
+        assert_eq!(rx.recv_timeout(Duration::from_secs(10)), Ok(b));
+        client.join().unwrap();
+        assert!(ring.state.lock().waiting.is_empty());
+        assert!(ring.try_reap(a).is_some());
+    }
+
+    #[test]
+    fn wait_on_a_posted_ticket_returns_without_parking() {
+        let registry = LockRegistry::new();
+        let ring = Arc::new(Ring::new(&registry, 4));
+        let fs = MemFs::new();
+        let t = create(&ring, fs.root_ino(), "f");
+        assert_eq!(ring.drain_once(&fs), 1);
+        let (tx, rx) = std::sync::mpsc::channel();
+        let client = {
+            let ring = Arc::clone(&ring);
+            std::thread::spawn(move || tx.send(ring.wait(t).reply).unwrap())
+        };
+        // Nothing will post again: a client that parked would stay parked.
+        let reply = rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("wait parked on a posted ticket");
+        assert!(matches!(reply, BatchReply::Create(Ok(_))));
+        client.join().unwrap();
+        assert!(ring.state.lock().waiting.is_empty(), "never registered");
     }
 
     #[test]

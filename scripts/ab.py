@@ -12,7 +12,13 @@ within a pair does not favour one side.
 For every metric in kbench's JSON line it prints the median of each
 side, the median of the per-pair change/base ratios, the base side's
 interquartile range, and how many pairs the change won. "Won" follows
-the metric's `better` direction in BENCHMARK.json. Every run's
+the metric's `better` direction in BENCHMARK.json, and ties count for
+neither side. Each metric also gets a verdict: `gain` when the change
+wins at least nine tenths of the pairs and its median is better than
+the base median by more than the base IQR (the distance between the
+base runs' quartiles), `worse` for the mirror case (the base wins nine
+tenths and the change median is worse by more than the base IQR), and
+`unresolved` otherwise. Every run's
 `correct` and `failed` fields are checked; the script exits 1 if any
 run is incorrect or failed operations.
 
@@ -114,6 +120,23 @@ def quartiles(xs):
     return q[0], q[2]
 
 
+def verdict(base, change, higher):
+    """'gain', 'worse' or 'unresolved' for one metric's paired runs."""
+    wins = sum((c > b) if higher else (c < b) for b, c in zip(base, change))
+    losses = sum((c < b) if higher else (c > b) for b, c in zip(base, change))
+    q1, q3 = quartiles(base)
+    # Positive when the change's median is better.
+    delta = statistics.median(change) - statistics.median(base)
+    if not higher:
+        delta = -delta
+    need = 0.9 * len(base)
+    if wins >= need and delta > q3 - q1:
+        return "gain"
+    if losses >= need and -delta > q3 - q1:
+        return "worse"
+    return "unresolved"
+
+
 def summarize(pairs, better):
     names = [n for n in pairs[0][0]["metrics"] if n in pairs[0][1]["metrics"]]
     rows = []
@@ -134,6 +157,7 @@ def summarize(pairs, better):
             "base_q3": q3,
             "wins": wins,
             "pairs": len(pairs),
+            "verdict": verdict(base, change, higher),
         })
     return rows
 
@@ -185,13 +209,13 @@ def main():
     print(f"{opts.workload}: {opts.base} -> {opts.change or 'working tree'}, "
           f"{len(pairs)} pairs of {opts.seconds} s, trace {opts.trace}")
     print(f"{'metric':<22} {'better':<6} {'base':>12} {'change':>12} "
-          f"{'ratio':>7} {'base IQR':>25} {'wins':>6}")
+          f"{'ratio':>7} {'base IQR':>25} {'wins':>6}  verdict")
     for r in rows:
         ratio = f"{r['median_ratio']:.3f}" if r["median_ratio"] is not None else "-"
         iqr = f"[{r['base_q1']:.4g}, {r['base_q3']:.4g}]"
         print(f"{r['metric']:<22} {r['better']:<6} {r['base_median']:>12.4g} "
               f"{r['change_median']:>12.4g} {ratio:>7} {iqr:>25} "
-              f"{r['wins']:>3}/{r['pairs']}")
+              f"{r['wins']:>3}/{r['pairs']}  {r['verdict']}")
     for side in ("base", "change"):
         idx = 0 if side == "base" else 1
         canary = statistics.median(p[idx]["canary_ms"] for p in pairs)

@@ -827,13 +827,17 @@ fn under_watchdog<T: Send + 'static>(
         .unwrap_or_else(|p| std::panic::resume_unwind(p))
 }
 
-/// 32 clients each run 2k submit-then-wait round trips through a
-/// depth-1 and a depth-4 ring drained by 2 reactors. At these depths
-/// every submitter, reactor and waiter parks over and over, so a wake
-/// the parked counts skipped by mistake strands a thread.
+/// 64 clients each run 2k submit-then-wait round trips through a
+/// depth-1, a depth-4 and a depth-1024 ring drained by 4 reactors. At
+/// the shallow depths every submitter, reactor and waiter parks over and
+/// over, so a wake the parked counts skipped by mistake strands a
+/// thread; at depth 1024 a whole batch of parked clients must each be
+/// unparked by the post of its own ticket.
 #[test]
 fn shallow_rings_lose_no_wakeups() {
-    for depth in [1, 4] {
+    const CLIENTS: u64 = 64;
+    const OPS: u64 = 2000;
+    for depth in [1, 4, 1024] {
         let fs = Arc::new(MemFs::new());
         let ino = fs.create(fs.root_ino(), "f").unwrap();
         let ring = Arc::new(Ring::new(
@@ -841,14 +845,14 @@ fn shallow_rings_lose_no_wakeups() {
             depth,
         ));
         let fs_dyn: Arc<dyn FileSystem> = fs;
-        let reactors = RingReactor::spawn_pool(Arc::clone(&ring), fs_dyn, None, 2);
+        let reactors = RingReactor::spawn_pool(Arc::clone(&ring), fs_dyn, None, 4);
         let r = Arc::clone(&ring);
         under_watchdog(120, &format!("depth {depth}"), move || {
-            let clients: Vec<_> = (0..32u64)
+            let clients: Vec<_> = (0..CLIENTS)
                 .map(|c| {
                     let ring = Arc::clone(&r);
                     std::thread::spawn(move || {
-                        for seq in 0..2000u64 {
+                        for seq in 0..OPS {
                             let t = ring
                                 .submit(BatchOp::Write {
                                     ino,
@@ -872,8 +876,8 @@ fn shallow_rings_lose_no_wakeups() {
         });
         drop(reactors);
         let stats = ring.stats();
-        assert_eq!(stats.submitted, 64_000);
-        assert_eq!(stats.completed, 64_000);
+        assert_eq!(stats.submitted, CLIENTS * OPS);
+        assert_eq!(stats.completed, CLIENTS * OPS);
     }
 }
 
