@@ -11,7 +11,7 @@
 
 use std::sync::Arc;
 
-use criterion::{criterion_group, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sk_core::modularity::Registry;
 use sk_fs_safe::rsfs::{JournalMode, Rsfs};
 use sk_ksim::block::{BlockDevice, RamDisk};
@@ -79,80 +79,5 @@ fn bench_buffer_capacity(c: &mut Criterion) {
     group.finish();
 }
 
-/// Readahead on a *seeking* device with two interleaved sequential
-/// streams: without prefetch the head ping-pongs between the streams on
-/// every read; with prefetch each visit amortizes the travel over `depth`
-/// blocks. The quantity of interest is **simulated device time**, which is
-/// fully deterministic — Criterion's statistics degenerate on
-/// zero-variance samples, so this measurement is computed once and
-/// printed.
-fn report_readahead_simulated() {
-    use sk_ksim::time::SimClock;
-
-    println!("\n== cache_ablation/readahead_simulated (deterministic device time) ==");
-    for depth in [0usize, 8] {
-        let clock = Arc::new(SimClock::new());
-        let mut disk = RamDisk::with_geometry(2048, 4096, Arc::clone(&clock));
-        disk.set_seek_model(1_000);
-        let cache = BufferCache::new(Arc::new(disk) as Arc<dyn BlockDevice>, 64);
-        cache.set_readahead(depth);
-        let t0 = clock.now_ns();
-        // Two far-apart sequential streams, interleaved.
-        for i in 0..64u64 {
-            cache.bread(i).unwrap();
-            cache.bread(1000 + i).unwrap();
-        }
-        let ns = clock.now_ns() - t0;
-        println!(
-            "readahead depth {depth}: {:.2} ms simulated ({} prefetches)",
-            ns as f64 / 1e6,
-            cache.stats().readaheads
-        );
-    }
-}
-
-/// Elevator vs FIFO dispatch on a seeking device — also deterministic
-/// simulated time, printed rather than sampled.
-fn report_elevator_simulated() {
-    use sk_ksim::elevator::ElevatorDevice;
-    use sk_ksim::time::SimClock;
-
-    println!("\n== cache_ablation/elevator_simulated (deterministic device time) ==");
-    let order: Vec<u64> = (0..128u64).map(|i| (i * 53) % 256).collect();
-    let payload = vec![1u8; 4096];
-
-    let clock = Arc::new(SimClock::new());
-    let mut disk = RamDisk::with_geometry(256, 4096, Arc::clone(&clock));
-    disk.set_seek_model(1_000);
-    for &blk in &order {
-        disk.write_block(blk, &payload).unwrap();
-    }
-    println!(
-        "fifo dispatch:     {:.2} ms simulated",
-        clock.now_ns() as f64 / 1e6
-    );
-
-    let clock = Arc::new(SimClock::new());
-    let mut disk = RamDisk::with_geometry(256, 4096, Arc::clone(&clock));
-    disk.set_seek_model(1_000);
-    let elev = ElevatorDevice::new(disk, 512);
-    for &blk in &order {
-        elev.write_block(blk, &payload).unwrap();
-    }
-    elev.flush().unwrap();
-    println!(
-        "elevator dispatch: {:.2} ms simulated\n",
-        clock.now_ns() as f64 / 1e6
-    );
-}
-
 criterion_group!(benches, bench_dcache, bench_buffer_capacity);
-
-fn main() {
-    report_readahead_simulated();
-    report_elevator_simulated();
-    benches();
-    criterion::Criterion::default()
-        .configure_from_args()
-        .final_summary();
-}
+criterion_main!(benches);

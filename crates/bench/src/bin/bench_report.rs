@@ -726,15 +726,10 @@ fn bench_vectored_io() -> Value {
     ])
 }
 
-/// The lockdep section: the eight-writer storage stress re-run with the
-/// whole-system lock registry live (buffer shards, journal classes, the
-/// per-op lock, inode locks), reporting the acquires-after graph the run
-/// built, the cycle count, and the top contended classes. Any ordering
-/// finding fails the report with a nonzero exit — this is the CI gate
-/// against new lock-order bugs on the storage hot path.
 /// Blackout-window measurement for the live-replacement protocol: for
 /// each workload thread count, a mixed read/write/stat workload hammers
-/// the VFS while two back-to-back [`Migrator`] swaps run (cext4 → rsfs,
+/// the VFS while two back-to-back
+/// [`Migrator`](sk_vfs::migrate::Migrator) swaps run (cext4 → rsfs,
 /// then rsfs → a fresh cext4). Reported per row: the gate-closed window
 /// in µs per swap (single-shot wall clock — a swap is not repeatable on
 /// the same state), ops completed, and `failed_ops`, which the drift
@@ -859,6 +854,12 @@ fn bench_hot_swap(thread_counts: &[usize]) -> Value {
     ])
 }
 
+/// The lockdep section: the eight-writer storage stress re-run with the
+/// whole-system lock registry live (buffer shards, journal classes, the
+/// per-op lock, inode locks), reporting the acquires-after graph the run
+/// built, the cycle count, and the top contended classes. Any ordering
+/// finding fails the report with a nonzero exit — this is the CI gate
+/// against new lock-order bugs on the storage hot path.
 fn bench_lockdep(threads: usize) -> Value {
     const FILES_PER_THREAD: usize = 24;
     let dev: Arc<dyn BlockDevice> = Arc::new(RamDisk::new(16384));
@@ -942,11 +943,13 @@ fn bench_lockdep(threads: usize) -> Value {
 /// The §4.4 crash-consistency check in report form: a fixed
 /// create→write→sync schedule runs on each file-system generation over a
 /// `CrashDevice`; every flush-barrier interval is exploded into
-/// post-crash images under each [`CrashPolicy`] and every image is
+/// post-crash images under each
+/// [`CrashPolicy`](sk_core::spec::crash::CrashPolicy) and every image is
 /// recovered and judged. The same section exercises the disk fault
 /// model: injected-fault counters (`io_errors`, `torn_writes`,
-/// `corrupt_reads`) from an adversarial [`FaultyDisk`] run, and the
-/// journal's abort behavior when a commit record write fails.
+/// `corrupt_reads`) from an adversarial
+/// [`FaultyDisk`](sk_ksim::block::FaultyDisk) run, and the journal's
+/// abort behavior when a commit record write fails.
 mod crashbench {
     use super::{num, obj, Value};
     use sk_core::spec::crash::{crash_images, CrashPolicy};

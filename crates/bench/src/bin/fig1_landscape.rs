@@ -37,7 +37,7 @@ fn main() {
     let crates: &[(&str, &str)] = &[
         (
             "crates/ksim",
-            "substrate (simulated kernel: block, cache, elevator, workqueue)",
+            "substrate (simulated kernel: block, cache, locks, workqueue)",
         ),
         ("crates/legacy", "no guarantees (the C idiom, emulated)"),
         ("crates/fs-legacy", "no guarantees (Step 0 baseline)"),

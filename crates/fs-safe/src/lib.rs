@@ -20,7 +20,7 @@
 //!   every crash point of every transaction and verifies recovery lands on
 //!   an allowed model ("recovers to the last synced version", §4.4).
 //!
-//! - **fsck** ([`fsck`]): the static half of the specification — seven
+//! - **fsck** ([`fsck`](mod@fsck)): the static half of the specification — seven
 //!   well-formedness invariants of the on-disk image, run over every
 //!   recovered crash image in the test suite.
 //!

@@ -443,7 +443,7 @@ impl<'a> Txn<'a> {
             // images), drain what *is* durable to the homes, then drop
             // our blocks from the cache so reads refetch committed
             // device state.
-            self.fs.unpin_discard(&pinned);
+            release_pins(&self.fs.delay_pins, &self.fs.cache, &pinned);
             let _ = journal.checkpoint_all();
             // A block still Delay-pinned after our unpin is shared with
             // an earlier committed-but-uncheckpointed transaction; the
@@ -822,6 +822,31 @@ impl<'a> Txn<'a> {
     }
 }
 
+/// Drops one Delay pin per listed block; a buffer whose last pin drops
+/// loses `Delay` and `Dirty` together. Checkpoint retirement calls this
+/// because the checkpoint just wrote the buffer's image home, and
+/// failed-commit cleanup because the image is the failed transaction's
+/// and must never be written back.
+fn release_pins(pins: &Mutex<HashMap<u64, usize>>, cache: &BufferCache, blknos: &[u64]) {
+    if blknos.is_empty() {
+        return;
+    }
+    let mut pins = pins.lock();
+    for blkno in blknos {
+        let Some(count) = pins.get_mut(blkno) else {
+            continue;
+        };
+        *count -= 1;
+        if *count == 0 {
+            pins.remove(blkno);
+            if let Some(buf) = cache.peek(*blkno) {
+                buf.clear_flag(BhFlag::Delay);
+                buf.clear_flag(BhFlag::Dirty);
+            }
+        }
+    }
+}
+
 impl Rsfs {
     /// Formats `dev`: superblock, bitmaps, inode table, root directory,
     /// and journal region.
@@ -929,22 +954,7 @@ impl Rsfs {
             // be held and the checkpoint would have skipped the block).
             let pins = Arc::clone(&delay_pins);
             let cache_for_hook = Arc::clone(&cache);
-            j.set_retire_hook(move |blknos| {
-                let mut pins = pins.lock();
-                for blkno in blknos {
-                    let Some(count) = pins.get_mut(blkno) else {
-                        continue;
-                    };
-                    *count -= 1;
-                    if *count == 0 {
-                        pins.remove(blkno);
-                        if let Some(buf) = cache_for_hook.peek(*blkno) {
-                            buf.clear_flag(BhFlag::Delay);
-                            buf.clear_flag(BhFlag::Dirty);
-                        }
-                    }
-                }
-            });
+            j.set_retire_hook(move |blknos| release_pins(&pins, &cache_for_hook, blknos));
         }
         let table_blocks = (sb.inode_count as usize).div_ceil(INODES_PER_BLOCK);
         Ok(Rsfs {
@@ -983,29 +993,6 @@ impl Rsfs {
     /// Inode-cache shard for an inode (same hash, independent count).
     fn icache_shard(&self, ino: InodeNo) -> &Mutex<HashMap<InodeNo, Arc<Inode>>> {
         &self.icache[(ino.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize % self.icache.len()]
-    }
-
-    /// Failed-commit cleanup: drops one Delay pin per listed block, and
-    /// for a buffer whose pin count reaches zero clears `Dirty` along
-    /// with `Delay` — its content is the failed transaction's image,
-    /// which must never be written back.
-    fn unpin_discard(&self, blknos: &[u64]) {
-        if blknos.is_empty() {
-            return;
-        }
-        let mut pins = self.delay_pins.lock();
-        for blkno in blknos {
-            if let Some(count) = pins.get_mut(blkno) {
-                *count -= 1;
-                if *count == 0 {
-                    pins.remove(blkno);
-                    if let Some(buf) = self.cache.peek(*blkno) {
-                        buf.clear_flag(BhFlag::Delay);
-                        buf.clear_flag(BhFlag::Dirty);
-                    }
-                }
-            }
-        }
     }
 
     /// The journal (when mounted with [`JournalMode::PerOp`] or
@@ -1455,7 +1442,7 @@ impl FileSystem for Rsfs {
     ///
     /// - Each arm runs the per-call op's own `Txn` body, so the two paths
     ///   agree reply for reply; the batch adds only the shared overlay.
-    /// - A failed op rolls back its own overlay writes ([`Txn::op_scope`])
+    /// - A failed op rolls back its own overlay writes (`Txn::op_scope`)
     ///   and fails alone; its neighbors stay staged.
     /// - If the *chunk commit* fails (journal abort, `EROFS`), every op
     ///   staged in that chunk is retroactively failed in its reply —

@@ -163,7 +163,7 @@ impl RamDisk {
 
     /// Enables a rotational-style seek model: each IO additionally costs
     /// `ns_per_block` × the head-travel distance from the previous IO.
-    /// Used by the elevator ablation.
+    /// Used by `bench_report`'s vectored-IO section.
     pub fn set_seek_model(&mut self, ns_per_block: u64) {
         self.seek_ns_per_block = ns_per_block;
     }

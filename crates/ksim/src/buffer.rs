@@ -11,7 +11,7 @@
 //! specification the paper says a verified file system would need.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crate::block::BlockDevice;
@@ -234,8 +234,6 @@ pub struct CacheStats {
     pub writebacks: u64,
     /// Clean buffers evicted to stay under capacity.
     pub evictions: u64,
-    /// Blocks prefetched by sequential readahead.
-    pub readaheads: u64,
 }
 
 /// Default shard count for [`BufferCache`] (a modest power of two: enough
@@ -256,7 +254,6 @@ struct ShardStats {
     misses: AtomicU64,
     writebacks: AtomicU64,
     evictions: AtomicU64,
-    readaheads: AtomicU64,
 }
 
 impl ShardStats {
@@ -266,18 +263,8 @@ impl ShardStats {
             misses: self.misses.load(Ordering::Relaxed),
             writebacks: self.writebacks.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
-            readaheads: self.readaheads.load(Ordering::Relaxed),
         }
     }
-}
-
-/// Sequential-pattern detector state (one slot per concurrent sequential
-/// stream, as Linux keeps per-file readahead state). Global across shards
-/// — a stream's blocks stripe over all of them.
-struct ReadaheadState {
-    stream_cursors: [u64; 4],
-    /// Round-robin eviction index for `stream_cursors`.
-    cursor_clock: usize,
 }
 
 /// A write-back buffer cache over a block device, lock-striped into
@@ -287,7 +274,7 @@ struct ReadaheadState {
 /// buffer's own mutex; LRU position is a relaxed atomic tick on the
 /// buffer, so concurrent readers of different blocks — and even of the
 /// same shard — never serialize on an exclusive cache lock. Device IO
-/// (miss fill, readahead) happens outside every shard lock, so slow
+/// (miss fill, write-back) happens outside every shard lock, so slow
 /// simulated IO overlaps across threads instead of queueing behind one
 /// cache-wide mutex.
 pub struct BufferCache {
@@ -298,9 +285,6 @@ pub struct BufferCache {
     stats: Vec<ShardStats>,
     /// Global LRU tick source.
     tick: AtomicU64,
-    /// Prefetch depth; 0 disables readahead.
-    readahead: AtomicUsize,
-    ra: TrackedMutex<ReadaheadState>,
     /// Lockdep registry observing the shard locks, buffer-head mutexes
     /// and the `BlockDevice` boundary.
     registry: Arc<LockRegistry>,
@@ -352,15 +336,6 @@ impl BufferCache {
                 .collect(),
             stats: (0..nshards).map(|_| ShardStats::default()).collect(),
             tick: AtomicU64::new(0),
-            readahead: AtomicUsize::new(0),
-            ra: TrackedMutex::new(
-                &registry,
-                "buffer.readahead",
-                ReadaheadState {
-                    stream_cursors: [u64::MAX; 4],
-                    cursor_clock: 0,
-                },
-            ),
             registry,
         }
     }
@@ -378,13 +353,6 @@ impl BufferCache {
     /// Number of lock stripes.
     pub fn shard_count(&self) -> usize {
         self.shards.len()
-    }
-
-    /// Enables sequential readahead: when `bread` detects a sequential
-    /// pattern (block N follows block N-1), the next `depth` blocks are
-    /// prefetched. `0` disables.
-    pub fn set_readahead(&self, depth: usize) {
-        self.readahead.store(depth, Ordering::Relaxed);
     }
 
     /// Shard index for a block number (multiplicative hash so strided
@@ -571,7 +539,6 @@ impl BufferCache {
         // the documented `Uptodate | Mapped` contract holds on every
         // path. Device IO overlaps across threads — no shard lock held.
         self.fill_uptodate(&buf)?;
-        self.maybe_readahead(blkno)?;
         Ok(buf)
     }
 
@@ -595,93 +562,6 @@ impl BufferCache {
                 .with(BhFlag::Uptodate)
                 .with(BhFlag::Mapped)
                 .with(BhFlag::Req);
-        }
-        Ok(())
-    }
-
-    /// Sequential readahead: prefetch the blocks that are about to be
-    /// asked for, while the "head" is in the neighbourhood. A block
-    /// continues whichever stream it extends; otherwise it starts a new
-    /// stream in a round-robin slot. The prefetch run is issued as one
-    /// vectored [`BlockDevice::read_blocks`] extent. With readahead off
-    /// it returns before touching the process-wide stream state, so a
-    /// `bread` takes no global lock; streams are tracked from the first
-    /// reads after [`BufferCache::set_readahead`].
-    fn maybe_readahead(&self, blkno: u64) -> KResult<()> {
-        let depth = self.readahead.load(Ordering::Relaxed);
-        if depth == 0 {
-            return Ok(());
-        }
-        let sequential = {
-            let mut ra = self.ra.lock();
-            match ra
-                .stream_cursors
-                .iter()
-                .position(|&c| c != u64::MAX && blkno == c + 1)
-            {
-                Some(slot) => {
-                    ra.stream_cursors[slot] = blkno;
-                    true
-                }
-                None => {
-                    let slot = ra.cursor_clock;
-                    ra.cursor_clock = (ra.cursor_clock + 1) % ra.stream_cursors.len();
-                    ra.stream_cursors[slot] = blkno;
-                    false
-                }
-            }
-        };
-        if !sequential {
-            return Ok(());
-        }
-        // Reserve placeholders for the run first, under each shard's
-        // write lock; the run ends at device end or the first
-        // already-cached block. Reserving before the vectored device
-        // read closes the same stale-insert window as the bread miss
-        // path: a block another thread caches (and possibly dirties and
-        // writes back) meanwhile keeps that thread's buffer, and our
-        // prefetched image only lands in buffers we reserved that are
-        // still not uptodate.
-        let bs = self.dev.block_size();
-        let mut reserved: Vec<Arc<Buffer>> = Vec::new();
-        let mut deferred: Vec<Arc<Buffer>> = Vec::new();
-        for ahead in 0..depth as u64 {
-            let next = blkno + 1 + ahead;
-            if next >= self.dev.num_blocks() {
-                break;
-            }
-            let idx = self.shard_of(next);
-            let mut shard = self.shards[idx].write();
-            if shard.map.contains_key(&next) {
-                break;
-            }
-            let pre = self.new_buffer(next, vec![0u8; bs], BufferState::EMPTY.with(BhFlag::Mapped));
-            shard.map.insert(next, Arc::clone(&pre));
-            self.stats[idx].readaheads.fetch_add(1, Ordering::Relaxed);
-            deferred.extend(self.shrink(idx, &mut shard));
-            reserved.push(pre);
-        }
-        self.writeback_deferred(&deferred)?;
-        if reserved.is_empty() {
-            return Ok(());
-        }
-        let mut data = vec![0u8; reserved.len() * bs];
-        self.registry.note_blocking_io("read_blocks");
-        if self
-            .dev
-            .read_blocks(blkno + 1, reserved.len(), &mut data)
-            .is_err()
-        {
-            // Prefetch is best-effort: the placeholders stay cached and
-            // `bread` fills them on demand.
-            return Ok(());
-        }
-        for (pre, chunk) in reserved.iter().zip(data.chunks(bs)) {
-            let mut h = pre.head.lock();
-            if !h.state.has(BhFlag::Uptodate) {
-                h.data.copy_from_slice(chunk);
-                h.state = h.state.with(BhFlag::Uptodate).with(BhFlag::Req);
-            }
         }
         Ok(())
     }
@@ -855,7 +735,6 @@ impl BufferCache {
             total.misses += snap.misses;
             total.writebacks += snap.writebacks;
             total.evictions += snap.evictions;
-            total.readaheads += snap.readaheads;
         }
         total
     }
@@ -1040,66 +919,6 @@ mod tests {
         assert_eq!(seen.len(), 16);
     }
 
-    #[test]
-    fn readahead_prefetches_sequential_runs() {
-        let c = cache(64, 32);
-        c.set_readahead(4);
-        // Random access: no prefetch.
-        c.bread(10).unwrap();
-        c.bread(30).unwrap();
-        assert_eq!(c.stats().readaheads, 0);
-        // Sequential: 30 then 31 triggers prefetch of 32..=35.
-        c.bread(31).unwrap();
-        assert_eq!(c.stats().readaheads, 4);
-        let misses_before = c.stats().misses;
-        c.bread(32).unwrap();
-        c.bread(33).unwrap();
-        assert_eq!(c.stats().misses, misses_before, "prefetched blocks hit");
-        // Prefetched buffers carry a valid flag state.
-        assert!(c.validate_all().is_empty());
-    }
-
-    #[test]
-    fn readahead_tracks_interleaved_streams() {
-        // Two sequential streams, interleaved — per-stream cursors keep
-        // both hot (the single-cursor design loses both).
-        let c = cache(2048, 64);
-        c.set_readahead(4);
-        c.bread(0).unwrap();
-        c.bread(1000).unwrap();
-        c.bread(1).unwrap(); // continues stream A
-        c.bread(1001).unwrap(); // continues stream B
-        assert_eq!(c.stats().readaheads, 8, "both streams prefetched");
-    }
-
-    #[test]
-    fn bread_without_readahead_takes_no_global_lock() {
-        use crate::lock::LockRegistry;
-        let reg = LockRegistry::new();
-        let c = BufferCache::with_registry(Arc::new(RamDisk::new(64)), 16, 4, Arc::clone(&reg));
-        for i in 0..12u64 {
-            c.bread(i).unwrap();
-            c.bread(i).unwrap();
-        }
-        let readahead_acquisitions = reg
-            .class_stats()
-            .iter()
-            .filter(|s| s.name == "buffer.readahead")
-            .map(|s| s.acquisitions)
-            .sum::<u64>();
-        assert_eq!(readahead_acquisitions, 0);
-        assert_eq!(c.stats().readaheads, 0);
-    }
-
-    #[test]
-    fn readahead_respects_device_end() {
-        let c = cache(8, 8);
-        c.set_readahead(8);
-        c.bread(6).unwrap();
-        c.bread(7).unwrap(); // sequential at the last block
-        assert_eq!(c.stats().readaheads, 0, "nothing past the end");
-    }
-
     /// Regression for the bread miss-path lost-update race: with
     /// read-then-insert, a thread's cold miss could read the device and
     /// lose the CPU while another thread inserted, dirtied, wrote back,
@@ -1240,7 +1059,7 @@ mod tests {
         }
     }
 
-    /// The whole cache hot path — misses, hits, eviction, readahead,
+    /// The whole cache hot path — misses, hits, eviction, write-back,
     /// sync — runs lockdep-clean: no cycles, no held-across-I/O, no
     /// same-class nesting.
     #[test]
@@ -1248,7 +1067,6 @@ mod tests {
         use crate::lock::LockRegistry;
         let reg = LockRegistry::new();
         let c = BufferCache::with_registry(Arc::new(RamDisk::new(64)), 8, 4, Arc::clone(&reg));
-        c.set_readahead(4);
         for i in 0..32u64 {
             let b = c.bread(i % 20).unwrap();
             b.write(|d| d[1] = i as u8);
@@ -1257,7 +1075,7 @@ mod tests {
         c.sync_all().unwrap();
         c.invalidate_blocks(&[1, 2]);
         assert!(reg.violations().is_empty(), "{:?}", reg.violations());
-        assert!(reg.class_count() >= 3, "shard, head, readahead classes");
+        assert!(reg.class_count() >= 2, "shard and head classes");
     }
 
     #[test]

@@ -33,7 +33,6 @@
 
 pub mod block;
 pub mod buffer;
-pub mod elevator;
 pub mod errno;
 pub mod kalloc;
 pub mod klog;
@@ -45,7 +44,6 @@ pub mod workqueue;
 
 pub use block::{BlockDevice, CrashDevice, RamDisk};
 pub use buffer::{BufferCache, BufferHead, BufferState};
-pub use elevator::ElevatorDevice;
 pub use errno::{Errno, KResult};
 pub use kalloc::{Arena, ObjRef};
 pub use lock::{KLock, LockRegistry};

@@ -59,7 +59,7 @@
 //! clock, so benchmarks can opt out of the instrumentation cost.
 
 use std::collections::{HashMap, HashSet, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::{self, ThreadId};
 use std::time::Instant;
@@ -198,7 +198,9 @@ fn reach(edges: &HashMap<u32, HashSet<u32>>, from: u32, to: u32) -> Option<Vec<u
 pub struct LockRegistry {
     inner: Mutex<RegistryInner>,
     next_id: AtomicU64,
-    enabled: AtomicBool,
+    /// Fixed at construction: [`LockRegistry::new`] or
+    /// [`LockRegistry::new_disabled`].
+    enabled: bool,
 }
 
 impl Default for LockRegistry {
@@ -206,7 +208,7 @@ impl Default for LockRegistry {
         LockRegistry {
             inner: Mutex::new(RegistryInner::default()),
             next_id: AtomicU64::new(0),
-            enabled: AtomicBool::new(true),
+            enabled: true,
         }
     }
 }
@@ -223,19 +225,15 @@ impl LockRegistry {
     /// clock, so `held_ns` stays 0 (benchmarks use this to measure the
     /// uninstrumented hot path).
     pub fn new_disabled() -> Arc<Self> {
-        let r = LockRegistry::default();
-        r.enabled.store(false, Ordering::Relaxed);
-        Arc::new(r)
+        Arc::new(LockRegistry {
+            enabled: false,
+            ..LockRegistry::default()
+        })
     }
 
-    /// Turns lockdep checking on or off.
-    pub fn set_enabled(&self, on: bool) {
-        self.enabled.store(on, Ordering::Relaxed);
-    }
-
-    /// Whether lockdep checking is currently enabled.
+    /// Whether lockdep checking is enabled.
     pub fn is_enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
+        self.enabled
     }
 
     /// Registers one lock instance under class `name`. The first

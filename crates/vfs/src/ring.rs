@@ -29,16 +29,16 @@
 //!
 //! One ring supports **N reactors** draining it concurrently
 //! (work-stealing): each batch claim happens under the state lock, so
-//! a batch is owned by exactly one reactor, and the claim grain
-//! ([`Ring::set_claim_grain`], set automatically by the pool spawners)
-//! splits a full queue across the pool instead of letting one reactor
-//! take everything. Completions wake *exactly* the clients waiting on
-//! them: a client that finds no reply registers its thread under its
-//! ticket and parks, and a post unparks the threads registered under the
-//! tickets it posted, so no client wakes for another client's reply and
-//! a client that finds its reply posted never parks. Idle reactors
-//! follow an adaptive spin-then-park policy so a busy ring never pays a
-//! park/unpark per batch. The queue-side wakes are gated on a count of
+//! a batch is owned by exactly one reactor, and the claim grain (set by
+//! the pool spawners to `depth / reactors`) splits a full queue across
+//! the pool instead of letting one reactor take everything. Completions
+//! wake *exactly* the clients waiting on them: a client that finds no
+//! reply registers its thread under its ticket and parks, and a post
+//! unparks the threads registered under the tickets it posted, so no
+//! client wakes for another client's reply and a client that finds its
+//! reply posted never parks. Idle reactors follow an adaptive
+//! spin-then-park policy so a busy ring never pays a park/unpark per
+//! batch. The queue-side wakes are gated on a count of
 //! threads parked on that condvar, kept under the state lock: a submit
 //! wakes a reactor only if one is parked, and a drain wakes at most one
 //! parked submitter per freed slot.
@@ -118,7 +118,7 @@ fn park(
     *count(&mut st.parked) -= 1;
 }
 
-/// A fixed-depth submission/completion ring bound to one reactor.
+/// A fixed-depth submission/completion ring drained by a reactor pool.
 ///
 /// `depth` bounds the submission queue: [`Ring::submit`] blocks while
 /// the queue is full, and the reactor drains at most `depth` SQEs per
@@ -126,9 +126,9 @@ fn park(
 /// `bench_report` varies.
 pub struct Ring {
     depth: usize,
-    /// Per-claim drain cap. `depth` for a lone reactor; the pool
-    /// spawners set it to `depth / reactors` so one batch claim cannot
-    /// starve the rest of the pool — the work-stealing grain.
+    /// Per-claim drain cap, set by the pool spawners to
+    /// `depth / reactors` so one batch claim cannot starve the rest of
+    /// the pool — the work-stealing grain.
     claim: AtomicUsize,
     state: TrackedMutex<RingState>,
     /// Signalled when the submission queue gains room.
@@ -189,15 +189,6 @@ impl Ring {
     /// The submission-queue depth.
     pub fn depth(&self) -> usize {
         self.depth
-    }
-
-    /// Caps how many SQEs one batch claim may take, clamped to
-    /// `[1, depth]`. The pool spawners call this with
-    /// `depth / reactors`; callers running a single reactor can leave
-    /// the default (`depth`).
-    pub fn set_claim_grain(&self, grain: usize) {
-        self.claim
-            .store(grain.clamp(1, self.depth), Ordering::Relaxed);
     }
 
     /// Traffic counters.
@@ -296,21 +287,6 @@ impl Ring {
             .store((budget / 2).max(SPIN_MIN), Ordering::Relaxed);
     }
 
-    /// Claims up to one grain of SQEs, blocking until at least one is
-    /// available. Space is released to submitters *before* the batch is
-    /// processed, so clients refill the queue while the reactor works.
-    /// The claim happens under the state lock, so with N reactors each
-    /// SQE is drained by exactly one of them. Returns an empty batch
-    /// only when the ring is shut down and fully drained.
-    fn drain_batch(&self) -> Vec<(u64, BatchOp)> {
-        self.spin_for_work();
-        let mut st = self.state.lock();
-        while st.sq.is_empty() && !st.shutdown {
-            park(&mut st, &self.sq_ready, |p| &mut p.reactors);
-        }
-        self.take_sqes(st, self.claim.load(Ordering::Relaxed))
-    }
-
     /// Takes up to `cap` SQEs off the queue, then wakes one parked
     /// submitter per freed slot, and no more than are parked — a
     /// broadcast would wake every parked client for a single slot at
@@ -356,22 +332,6 @@ impl Ring {
         }
     }
 
-    /// One reactor step: drain a batch (blocking until work or
-    /// shutdown), relieve the throttle if it reads at or over threshold,
-    /// process the batch through `fs`, post completions. Returns `false`
-    /// once the ring is shut down and drained — the reactor loop's exit.
-    pub fn reactor_tick(&self, fs: &dyn FileSystem, throttle: Option<&RingThrottle>) -> bool {
-        let batch = self.drain_batch();
-        if batch.is_empty() {
-            return false;
-        }
-        self.relieve(throttle);
-        let (tickets, ops): (Vec<u64>, Vec<BatchOp>) = batch.into_iter().unzip();
-        let replies = fs.submit_batch(ops);
-        self.post(tickets, replies);
-        true
-    }
-
     /// Relieves the throttle until the pressure reading drops below
     /// threshold — bounded, so a wedged (EROFS) journal cannot spin the
     /// reactor; the batch is then admitted and fails op by op.
@@ -381,7 +341,7 @@ impl Ring {
     /// their batch instead of stacking redundant commit+checkpoint
     /// cycles behind the same journal group lock. Pressure is re-read
     /// before every batch, so an admission that raced past the reliever
-    /// stalls on its next tick if relief did not land.
+    /// stalls on its next step if relief did not land.
     fn relieve(&self, throttle: Option<&RingThrottle>) {
         let Some(t) = throttle else { return };
         if (t.pressure)() < t.threshold {
@@ -404,59 +364,63 @@ impl Ring {
     }
 
     /// Blocks until the submission queue is non-empty or the ring is
-    /// shut down (spinning first, per the idle policy). Returns `false`
-    /// only when shut down *and* drained. Nothing is removed: gated
-    /// reactors park here with the swap gate released, so a migrator
-    /// never finds SQEs trapped in a reactor's hands mid-handoff — with
-    /// N reactors, *all* of them idle here between batches, which is
-    /// why the SwapGate handshake needs no per-reactor bookkeeping.
-    fn wait_ready(&self) -> bool {
+    /// shut down (spinning first, per the idle policy). Returns the
+    /// state guard with work queued, or `None` once shut down *and*
+    /// drained. Nothing is removed: gated reactors park here with the
+    /// swap gate released, so a migrator never finds SQEs trapped in a
+    /// reactor's hands mid-handoff — with N reactors, *all* of them idle
+    /// here between batches, which is why the SwapGate handshake needs
+    /// no per-reactor bookkeeping.
+    fn wait_ready(&self) -> Option<TrackedMutexGuard<'_, RingState>> {
         self.spin_for_work();
         let mut st = self.state.lock();
         while st.sq.is_empty() && !st.shutdown {
             park(&mut st, &self.sq_ready, |p| &mut p.reactors);
         }
-        !(st.sq.is_empty() && st.shutdown)
+        (!st.sq.is_empty()).then_some(st)
     }
 
-    /// Claims up to one grain of SQEs without blocking.
-    fn drain_nonblocking(&self) -> Vec<(u64, BatchOp)> {
-        self.take_sqes(self.state.lock(), self.claim.load(Ordering::Relaxed))
-    }
-
-    /// One generation-aware reactor step — the swap-hazard fix. The
-    /// plain [`Ring::reactor_tick`] captures one `Arc<dyn FileSystem>`
-    /// for the reactor's lifetime, so SQEs processed after a registry
-    /// swap still execute against the retired generation and their
-    /// effects are lost from the new one. This tick instead:
+    /// One reactor step, the same for both pools:
     ///
-    /// 1. waits for work with the gate **released** (a parked reactor
-    ///    must not hold SQEs hostage across a handoff — the migrator
-    ///    drains the queue itself while the gate is closed);
-    /// 2. enters the gate shared, like any other admission;
-    /// 3. drains without blocking and dispatches through the interface
-    ///    handle, so the batch runs against whichever generation is
-    ///    current *at processing time*.
+    /// 1. wait for work with no gate held (a parked reactor must not
+    ///    hold SQEs hostage across a handoff — the migrator drains the
+    ///    queue itself while the gate is closed);
+    /// 2. enter the gate shared, for a swappable backend only, with the
+    ///    ring lock released (the migrator takes it under the gate);
+    /// 3. claim one grain without blocking — a fixed backend claims
+    ///    under the same lock hold as the wait;
+    /// 4. relieve the throttle;
+    /// 5. dispatch the batch — through the interface handle for a
+    ///    swappable backend, so it runs against whichever generation is
+    ///    current *at processing time*;
+    /// 6. post the completions.
     ///
-    /// An empty drain after the wait is the benign race where a migrator
-    /// took the queued SQEs first; the reactor just parks again.
-    pub fn reactor_tick_gated(
-        &self,
-        fs: &InterfaceHandle<dyn FileSystem>,
-        gate: &SwapGate,
-        throttle: Option<&RingThrottle>,
-    ) -> bool {
-        if !self.wait_ready() {
+    /// A swappable backend's claim retakes the lock, so it can come back
+    /// empty: the benign race where another reactor or a migrator took
+    /// the queued SQEs first; the reactor just waits again. Returns `false` once the ring is shut down and
+    /// drained — the reactor loop's exit.
+    fn step(&self, backend: &Backend, throttle: Option<&RingThrottle>) -> bool {
+        let Some(st) = self.wait_ready() else {
             return false;
-        }
-        let _admission = gate.enter();
-        let batch = self.drain_nonblocking();
+        };
+        let (st, _admission) = match backend {
+            Backend::Fixed(_) => (st, None),
+            Backend::Swappable { gate, .. } => {
+                drop(st);
+                let admission = gate.enter();
+                (self.state.lock(), Some(admission))
+            }
+        };
+        let batch = self.take_sqes(st, self.claim.load(Ordering::Relaxed));
         if batch.is_empty() {
             return true;
         }
         self.relieve(throttle);
         let (tickets, ops): (Vec<u64>, Vec<BatchOp>) = batch.into_iter().unzip();
-        let replies = fs.get().submit_batch(ops);
+        let replies = match backend {
+            Backend::Fixed(fs) => fs.submit_batch(ops),
+            Backend::Swappable { handle, .. } => handle.get().submit_batch(ops),
+        };
         self.post(tickets, replies);
         true
     }
@@ -475,6 +439,18 @@ impl Ring {
         self.post(tickets, replies);
         n
     }
+}
+
+/// What a reactor pool dispatches to.
+enum Backend {
+    /// One file system for the pool's lifetime.
+    Fixed(Arc<dyn FileSystem>),
+    /// A hot-swappable file system: batches go through `handle` under a
+    /// shared hold of `gate`.
+    Swappable {
+        handle: InterfaceHandle<dyn FileSystem>,
+        gate: Arc<SwapGate>,
+    },
 }
 
 /// The reactor's admission throttle: a pressure reading (journal log
@@ -517,34 +493,17 @@ impl RingReactor {
         throttle: Option<Arc<RingThrottle>>,
         reactors: usize,
     ) -> Vec<RingReactor> {
-        assert!(reactors > 0, "reactor pool must have at least one reactor");
-        ring.set_claim_grain(ring.depth() / reactors);
-        (0..reactors)
-            .map(|i| {
-                let r = Arc::clone(&ring);
-                let fs = Arc::clone(&fs);
-                let throttle = throttle.clone();
-                let handle = std::thread::Builder::new()
-                    .name(format!("ring-reactor-{i}"))
-                    .spawn(move || while r.reactor_tick(fs.as_ref(), throttle.as_deref()) {})
-                    .expect("spawn ring reactor");
-                RingReactor {
-                    ring: Arc::clone(&ring),
-                    handle: Some(handle),
-                }
-            })
-            .collect()
+        Self::spawn(ring, Backend::Fixed(fs), throttle, reactors)
     }
 
     /// Starts `reactors` generation-aware reactors over one `ring`:
     /// batches are dispatched through `handle` under a shared hold of
     /// `gate`, so every SQE completes against the generation that is
-    /// current when it is processed — see [`Ring::reactor_tick_gated`].
-    /// This is the pool to use on a [`Vfs`](crate::path::Vfs) whose
-    /// backend may be hot-swapped by a
-    /// [`Migrator`](crate::migrate::Migrator). Every reactor parks in
-    /// `wait_ready` *outside* its shared gate hold, so a migrator closing
-    /// the [`SwapGate`] sees the whole pool idle and drains queued SQEs
+    /// current when it is processed. This is the pool to use on a
+    /// [`Vfs`](crate::path::Vfs) whose backend may be hot-swapped by a
+    /// [`Migrator`](crate::migrate::Migrator). Every reactor waits for
+    /// work *outside* its shared gate hold, so a migrator closing the
+    /// [`SwapGate`] sees the whole pool idle and drains queued SQEs
     /// itself.
     ///
     /// # Panics
@@ -557,25 +516,38 @@ impl RingReactor {
         throttle: Option<Arc<RingThrottle>>,
         reactors: usize,
     ) -> Vec<RingReactor> {
+        Self::spawn(
+            ring,
+            Backend::Swappable { handle, gate },
+            throttle,
+            reactors,
+        )
+    }
+
+    fn spawn(
+        ring: Arc<Ring>,
+        backend: Backend,
+        throttle: Option<Arc<RingThrottle>>,
+        reactors: usize,
+    ) -> Vec<RingReactor> {
         assert!(reactors > 0, "reactor pool must have at least one reactor");
-        ring.set_claim_grain(ring.depth() / reactors);
+        ring.claim.store(
+            (ring.depth / reactors).clamp(1, ring.depth),
+            Ordering::Relaxed,
+        );
+        let backend = Arc::new(backend);
         (0..reactors)
             .map(|i| {
                 let r = Arc::clone(&ring);
-                let handle = handle.clone();
-                let gate = Arc::clone(&gate);
+                let backend = Arc::clone(&backend);
                 let throttle = throttle.clone();
-                let h = std::thread::Builder::new()
+                let handle = std::thread::Builder::new()
                     .name(format!("ring-reactor-{i}"))
-                    .spawn(
-                        move || {
-                            while r.reactor_tick_gated(&handle, &gate, throttle.as_deref()) {}
-                        },
-                    )
+                    .spawn(move || while r.step(&backend, throttle.as_deref()) {})
                     .expect("spawn ring reactor");
                 RingReactor {
                     ring: Arc::clone(&ring),
-                    handle: Some(h),
+                    handle: Some(handle),
                 }
             })
             .collect()

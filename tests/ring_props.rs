@@ -27,6 +27,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 use proptest::prelude::*;
+use safer_kernel::core::modularity::Registry;
 use safer_kernel::core::spec::crash::{crash_images, judge_with_floor, CrashPolicy};
 use safer_kernel::core::spec::Refines;
 use safer_kernel::fs_safe::layout::MAX_FILE_SIZE;
@@ -36,7 +37,9 @@ use safer_kernel::ksim::block::{
     BLOCK_SIZE,
 };
 use safer_kernel::ksim::errno::KResult;
+use safer_kernel::vfs::migrate::SwapGate;
 use safer_kernel::vfs::modular::{BatchOp, BatchReply, FileSystem};
+use safer_kernel::vfs::path::FS_INTERFACE;
 use safer_kernel::vfs::ring::{Ring, RingReactor, RingThrottle};
 use safer_kernel::vfs::MemFs;
 
@@ -828,16 +831,21 @@ fn under_watchdog<T: Send + 'static>(
 }
 
 /// 64 clients each run 2k submit-then-wait round trips through a
-/// depth-1, a depth-4 and a depth-1024 ring drained by 4 reactors. At
-/// the shallow depths every submitter, reactor and waiter parks over and
-/// over, so a wake the parked counts skipped by mistake strands a
-/// thread; at depth 1024 a whole batch of parked clients must each be
-/// unparked by the post of its own ticket.
+/// depth-1, a depth-4 and a depth-1024 ring drained by 4 reactors, once
+/// with a fixed backend and once with a swappable one (a registry-backed
+/// handle behind an open `SwapGate`). At the shallow depths every
+/// submitter, reactor and waiter parks over and over, so a wake the
+/// parked counts skipped by mistake strands a thread; at depth 1024 a
+/// whole batch of parked clients must each be unparked by the post of
+/// its own ticket.
 #[test]
 fn shallow_rings_lose_no_wakeups() {
     const CLIENTS: u64 = 64;
     const OPS: u64 = 2000;
-    for depth in [1, 4, 1024] {
+    for (gated, depth) in [false, true]
+        .into_iter()
+        .flat_map(|g| [1, 4, 1024].map(|d| (g, d)))
+    {
         let fs = Arc::new(MemFs::new());
         let ino = fs.create(fs.root_ino(), "f").unwrap();
         let ring = Arc::new(Ring::new(
@@ -845,9 +853,20 @@ fn shallow_rings_lose_no_wakeups() {
             depth,
         ));
         let fs_dyn: Arc<dyn FileSystem> = fs;
-        let reactors = RingReactor::spawn_pool(Arc::clone(&ring), fs_dyn, None, 4);
+        let reactors = if gated {
+            let registry = Registry::new();
+            registry
+                .register::<dyn FileSystem>(FS_INTERFACE, "memfs", fs_dyn)
+                .unwrap();
+            let handle = registry.subscribe::<dyn FileSystem>(FS_INTERFACE).unwrap();
+            let gate = Arc::new(SwapGate::new());
+            RingReactor::spawn_gated_pool(Arc::clone(&ring), handle, gate, None, 4)
+        } else {
+            RingReactor::spawn_pool(Arc::clone(&ring), fs_dyn, None, 4)
+        };
         let r = Arc::clone(&ring);
-        under_watchdog(120, &format!("depth {depth}"), move || {
+        let what = format!("depth {depth}, gated {gated}");
+        under_watchdog(120, &what, move || {
             let clients: Vec<_> = (0..CLIENTS)
                 .map(|c| {
                     let ring = Arc::clone(&r);
