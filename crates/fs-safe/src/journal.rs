@@ -48,10 +48,12 @@
 //! of journaled blocks' home locations: the file system keeps such
 //! blocks `Delay`-pinned in the buffer cache (writeback and eviction
 //! skip them) until the [`RetireHook`] reports their transactions
-//! retired, and a per-block newest-committed-seq map keeps a partial
-//! drain from ever writing an image home when a later pending
-//! transaction holds a newer one — the pair rules out home-write
-//! reordering between checkpoint and cache writeback entirely.
+//! retired, and a partial drain never writes an image home when a later
+//! pending transaction holds a newer one — the pair rules out home-write
+//! reordering between checkpoint and cache writeback entirely. Committed
+//! records are immutable and shared (`Arc`): a checkpoint snapshots them
+//! by reference, so it holds `journal.space` for one refcount bump per
+//! record, never for a copy of their images.
 //!
 //! **Recovery**: read the superblock; starting at `(tail_seq, tail_off)`,
 //! walk forward parsing descriptor/commit pairs with strictly increasing
@@ -259,6 +261,9 @@ pub enum RecoveryOutcome {
 }
 
 /// One committed, un-checkpointed transaction (a journal record).
+/// Immutable once registered and shared rather than copied: checkpoint
+/// and `committed_image` take references under `journal.space` and read
+/// the images after the lock drops.
 struct TxnRecord {
     seq: u64,
     /// Offset of the descriptor in the log area.
@@ -282,13 +287,11 @@ struct Space {
     head_off: u64,
     tail_seq: u64,
     tail_off: u64,
-    txns: VecDeque<TxnRecord>,
-    /// Per home block, the sequence number of the newest committed
-    /// transaction that journaled it (jbd2-style). Checkpoint consults
-    /// this to never write an image home when a newer committed image
-    /// exists in a later, still-pending transaction; entries retire with
-    /// their transactions.
-    newest_seq: HashMap<u64, u64>,
+    /// Committed transactions awaiting checkpoint, oldest first.
+    txns: VecDeque<Arc<TxnRecord>>,
+    /// Log blocks `txns` occupy (the sum of their `len`), kept running so
+    /// [`Journal::log_pressure`] reads it in O(1).
+    used: u64,
 }
 
 /// Callback invoked after checkpoint retires transactions: receives the
@@ -329,6 +332,9 @@ struct GroupState {
     flushed_upto: u64,
     /// Contributed members of the open transaction, in token order.
     members: Vec<Member>,
+    /// Payload blocks staged: the sum of `members`' write counts, kept
+    /// running so the pressure reads are O(1).
+    staged: usize,
     /// Whether a leader is currently flushing a batch.
     leader_running: bool,
     /// Next on-disk sequence number.
@@ -501,6 +507,7 @@ impl Journal {
                     open: BTreeSet::new(),
                     flushed_upto: 1,
                     members: Vec::new(),
+                    staged: 0,
                     leader_running: false,
                     next_seq: tail_seq,
                     failed: None,
@@ -515,7 +522,7 @@ impl Journal {
                     tail_seq,
                     tail_off,
                     txns: VecDeque::new(),
-                    newest_seq: HashMap::new(),
+                    used: 0,
                 },
             ),
             ckpt_lock: TrackedMutex::new_io_ok(&registry, "journal.ckpt", ()),
@@ -555,14 +562,17 @@ impl Journal {
     /// the buffer is also pinned by an earlier transaction and so
     /// cannot simply be invalidated.
     pub fn committed_image(&self, blkno: u64) -> Option<Vec<u8>> {
-        let sp = self.space.lock();
-        let seq = *sp.newest_seq.get(&blkno)?;
-        let txn = sp.txns.iter().rev().find(|t| t.seq == seq)?;
-        txn.writes
-            .iter()
-            .rev()
-            .find(|(b, _)| *b == blkno)
-            .map(|(_, data)| data.clone())
+        self.pending_records().iter().rev().find_map(|t| {
+            let (_, data) = t.writes.iter().rev().find(|(b, _)| *b == blkno)?;
+            Some(data.clone())
+        })
+    }
+
+    /// Every committed record awaiting checkpoint, oldest first, by
+    /// reference: the `journal.space` hold is one refcount bump per
+    /// record, whatever the size of their images.
+    fn pending_records(&self) -> Vec<Arc<TxnRecord>> {
+        self.space.lock().txns.iter().cloned().collect()
     }
 
     /// Usage counters.
@@ -666,6 +676,7 @@ impl Journal {
         let Some(writes) = staged? else {
             return Ok(false);
         };
+        g.staged += writes.len();
         g.members.push(Member { token, writes });
         if self.staged_fraction(g) >= 1.0 && !g.leader_running {
             self.stats.lock().pressure_commits += 1;
@@ -745,8 +756,8 @@ impl Journal {
     /// throttles reading [`Journal::log_pressure`] see the same value the
     /// leader-duty path acts on.
     fn staged_fraction(&self, g: &GroupState) -> f32 {
-        let staged: usize = g.members.iter().map(|m| m.writes.len()).sum();
-        staged as f32 / self.capacity().max(1) as f32
+        debug_assert_eq!(g.staged, g.members.iter().map(|m| m.writes.len()).sum());
+        g.staged as f32 / self.capacity().max(1) as f32
     }
 
     /// Log pressure in `[0, 1]`-ish: how close the journal is to being
@@ -773,8 +784,8 @@ impl Journal {
         };
         let area = {
             let sp = self.space.lock();
-            let used: u64 = sp.txns.iter().map(|t| t.len).sum();
-            used as f32 / self.area().max(1) as f32
+            debug_assert_eq!(sp.used, sp.txns.iter().map(|t| t.len).sum());
+            sp.used as f32 / self.area().max(1) as f32
         };
         staged.max(area)
     }
@@ -789,6 +800,7 @@ impl Journal {
                 // the log; their waiters see the abort. The watermark
                 // stays frozen at the failed batch.
                 g.members.clear();
+                g.staged = 0;
                 return;
             }
             if g.members.is_empty() {
@@ -845,6 +857,7 @@ impl Journal {
                 .iter()
                 .flat_map(|m| m.writes.iter().map(|(b, _)| *b))
                 .collect();
+            g.staged -= pins.len();
             let merged_len = seen.len();
             let seq = g.next_seq;
             g.next_seq += 1;
@@ -941,19 +954,17 @@ impl Journal {
         stats.barriers += 1;
         drop(stats);
 
-        let mut sp = self.space.lock();
-        for (blkno, _) in &writes {
-            // Batches register in ascending seq order (one leader at a
-            // time), so a plain insert keeps the newest seq per block.
-            sp.newest_seq.insert(*blkno, seq);
-        }
-        sp.txns.push_back(TxnRecord {
+        // Batches register in ascending seq order (one leader at a time).
+        let record = Arc::new(TxnRecord {
             seq,
             off,
             len: need,
             writes,
             pins,
         });
+        let mut sp = self.space.lock();
+        sp.used += need;
+        sp.txns.push_back(record);
         Ok(())
     }
 
@@ -970,35 +981,23 @@ impl Journal {
     }
 
     fn checkpoint_inner(&self, max_txns: usize, forced: bool) -> KResult<usize> {
-        // (seq, off, len, writes, pins) per drained transaction.
-        type DrainEntry = (u64, u64, u64, Vec<(u64, Vec<u8>)>, Vec<u64>);
         if self.is_aborted() {
             return Err(Errno::EROFS);
         }
         let _serialize = self.ckpt_lock.lock();
-        // Snapshot the drain set together with the newest-committed-seq
-        // map; records stay registered (and the tail on disk) until
-        // their homes are durable, so a crash mid-drain still replays
-        // them.
-        let (drain, newest): (Vec<DrainEntry>, HashMap<u64, u64>) = {
-            let sp = self.space.lock();
-            (
-                sp.txns
-                    .iter()
-                    .take(max_txns)
-                    .map(|t| (t.seq, t.off, t.len, t.writes.clone(), t.pins.clone()))
-                    .collect(),
-                sp.newest_seq.clone(),
-            )
-        };
-        if drain.is_empty() {
+        // Snapshot the pending records by reference and split off the
+        // drain set; records stay registered (and the tail on disk)
+        // until their homes are durable, so a crash mid-drain still
+        // replays them.
+        let mut drain = self.pending_records();
+        let later = drain.split_off(max_txns.min(drain.len()));
+        let Some(last) = drain.last() else {
             return Ok(0);
-        }
-        let last = drain.last().expect("non-empty");
-        let (last_seq, last_off, last_len) = (last.0, last.1, last.2);
+        };
+        let (last_seq, last_off, last_len) = (last.seq, last.off, last.len);
         // One home write per block, newest drained image wins — and none
-        // at all for a block whose newest committed image sits in a
-        // later, still-pending transaction: writing our older image
+        // at all for a block that a later, still-pending transaction
+        // also journaled (its image is newer): writing our older image
         // could regress the home past what that transaction (or a
         // recovery replaying it) has already put there. The skip is
         // race-free, not merely narrow: `Delay` pins keep journaled
@@ -1006,9 +1005,13 @@ impl Journal {
         // happen only on this `ckpt_lock`-serialized path, and a
         // transaction committing after our snapshot cannot reach its
         // home before its own (later) checkpoint.
+        let newer: HashSet<u64> = later
+            .iter()
+            .flat_map(|t| t.writes.iter().map(|(b, _)| *b))
+            .collect();
         let mut homes: BTreeMap<u64, &Vec<u8>> = BTreeMap::new();
-        for (_, _, _, writes, _) in &drain {
-            for (blkno, data) in writes {
+        for (blkno, data) in drain.iter().flat_map(|t| t.writes.iter()) {
+            if !newer.contains(blkno) {
                 homes.insert(*blkno, data);
             }
         }
@@ -1017,11 +1020,7 @@ impl Journal {
         // common case — a file's data blocks plus its metadata cluster —
         // collapses from N device round trips to a handful).
         let bs = self.dev.block_size();
-        let targets: Vec<(u64, &Vec<u8>)> = homes
-            .iter()
-            .filter(|(blkno, _)| newest.get(blkno).copied().unwrap_or(0) <= last_seq)
-            .map(|(blkno, data)| (*blkno, *data))
-            .collect();
+        let targets: Vec<(u64, &Vec<u8>)> = homes.into_iter().collect();
         let mut coalesced_runs = 0u64;
         self.registry.note_blocking_io("write_block");
         let mut i = 0;
@@ -1047,13 +1046,17 @@ impl Journal {
         Self::write_jsb(&self.dev, self.start, last_seq + 1, last_off + last_len)?;
         self.dev.flush()?;
 
+        // Checkpointers are serialized, so the drained records are still
+        // the queue's front; `drain` keeps their images alive, so none is
+        // freed under the lock.
         let mut sp = self.space.lock();
-        for _ in 0..drain.len() {
-            sp.txns.pop_front();
+        for t in &drain {
+            let popped = sp.txns.pop_front();
+            debug_assert!(popped.is_some_and(|p| Arc::ptr_eq(&p, t)));
+            sp.used -= t.len;
         }
         sp.tail_seq = last_seq + 1;
         sp.tail_off = last_off + last_len;
-        sp.newest_seq.retain(|_, seq| *seq > last_seq);
         drop(sp);
 
         let mut stats = self.stats.lock();
@@ -1068,10 +1071,7 @@ impl Journal {
         // Tell the file system which transactions' blocks retired, so it
         // can release the Delay pins that kept writeback away.
         if let Some(hook) = self.retire_hook.lock().as_ref() {
-            let retired: Vec<u64> = drain
-                .iter()
-                .flat_map(|(_, _, _, _, pins)| pins.iter().copied())
-                .collect();
+            let retired: Vec<u64> = drain.iter().flat_map(|t| t.pins.iter().copied()).collect();
             hook(&retired);
         }
         Ok(drain.len())
@@ -1341,6 +1341,79 @@ mod tests {
             Journal::recover(&dev, JSTART, JBLOCKS).unwrap(),
             RecoveryOutcome::Clean
         );
+    }
+
+    /// The checkpoint's snapshot shares the registered records instead of
+    /// copying them: every entry is the very allocation `Space.txns`
+    /// still holds, overlapping blocks and all.
+    #[test]
+    fn checkpoint_snapshot_shares_records_by_reference() {
+        let (_, j) = fresh();
+        j.commit(&[(3, img(1))]).unwrap();
+        j.commit(&[(3, img(2)), (4, img(9))]).unwrap();
+        let snap = j.pending_records();
+        let sp = j.space.lock();
+        assert_eq!(snap.len(), 2);
+        assert_eq!(sp.txns.len(), 2);
+        for (shared, registered) in snap.iter().zip(sp.txns.iter()) {
+            assert!(Arc::ptr_eq(shared, registered), "seq {}", shared.seq);
+        }
+        assert_eq!(snap[1].writes[0].1[0], 2, "the newer image of block 3");
+    }
+
+    /// The staged-block and log-usage counters, each against a recount.
+    fn pressure_counters(j: &Journal) -> (usize, u64) {
+        let g = j.group.lock();
+        let staged = g.members.iter().map(|m| m.writes.len()).sum();
+        assert_eq!(g.staged, staged, "staged counter drifted");
+        drop(g);
+        let sp = j.space.lock();
+        let used = sp.txns.iter().map(|t| t.len).sum();
+        assert_eq!(sp.used, used, "log-usage counter drifted");
+        (staged, used)
+    }
+
+    /// The running pressure counters follow every path that changes what
+    /// they count: stage, lead, partial and forced checkpoint, the log
+    /// rewind, and the abort that discards the members left staged.
+    #[test]
+    fn pressure_counters_follow_stage_lead_checkpoint_rewind_and_abort() {
+        use sk_ksim::block::{DiskFaultConfig, FaultyDisk};
+        let faulty = Arc::new(FaultyDisk::new(
+            RamDisk::new(64),
+            DiskFaultConfig::default(),
+            0,
+        ));
+        let dev: Arc<dyn BlockDevice> = Arc::clone(&faulty) as Arc<dyn BlockDevice>;
+        Journal::format(&dev, JSTART, JBLOCKS).unwrap();
+        let j = Journal::open(Arc::clone(&dev), JSTART, JBLOCKS).unwrap();
+        // Stage: two members, three writes (block 3 twice).
+        j.begin_op().stage(vec![(3, img(1))]).unwrap();
+        j.begin_op().stage(vec![(3, img(2)), (4, img(2))]).unwrap();
+        assert_eq!(pressure_counters(&j), (3, 0));
+        // Lead: one merged 2-block record of 4 log blocks.
+        j.commit_running().unwrap();
+        assert_eq!(pressure_counters(&j), (0, 4));
+        j.commit(&[(5, img(3))]).unwrap();
+        assert_eq!(pressure_counters(&j), (0, 7));
+        // Partial checkpoint retires the first record only.
+        assert_eq!(j.checkpoint(1).unwrap(), 1);
+        assert_eq!(pressure_counters(&j), (0, 3));
+        // The log is full to its end: the next record forces a drain and
+        // rewinds to offset 0.
+        j.commit(&[(6, img(4))]).unwrap();
+        assert_eq!(j.stats().forced_checkpoints, 1);
+        assert_eq!(j.space.lock().head_off, 3, "rewound");
+        assert_eq!(pressure_counters(&j), (0, 3));
+        // Abort: the second stage's pressure commit leads a batch of the
+        // first member only (both exceed capacity 5); its record write
+        // fails and the member left behind is discarded.
+        j.begin_op().stage(vec![(7, img(5)), (8, img(5))]).unwrap();
+        faulty.fail_nth_write(1);
+        let four: Vec<(u64, Vec<u8>)> = (9..13).map(|b| (b, img(6))).collect();
+        assert_eq!(j.begin_op().stage(four), Err(Errno::EROFS));
+        assert!(j.is_aborted());
+        assert_eq!(pressure_counters(&j), (0, 3));
     }
 
     /// The retire hook reports every retired transaction's blocks, with

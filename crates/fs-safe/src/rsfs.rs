@@ -523,15 +523,10 @@ impl<'a> Txn<'a> {
     fn bitmap_alloc(&mut self, bitmap_blk: u64, limit: u64, first: u64) -> KResult<u64> {
         self.ensure_alloc();
         let mut data = self.read(bitmap_blk)?;
-        for i in first..limit {
-            let (byte, bit) = ((i / 8) as usize, (i % 8) as u8);
-            if data[byte] & (1 << bit) == 0 {
-                data[byte] |= 1 << bit;
-                self.write(bitmap_blk, data);
-                return Ok(i);
-            }
-        }
-        Err(Errno::ENOSPC)
+        let i = first_clear_bit(&data, first, limit)?;
+        data[(i / 8) as usize] |= 1 << (i % 8);
+        self.write(bitmap_blk, data);
+        Ok(i)
     }
 
     fn bitmap_free(&mut self, bitmap_blk: u64, index: u64) -> KResult<()> {
@@ -820,6 +815,25 @@ impl<'a> Txn<'a> {
         self.shrink_blocks(victim, 0)?;
         self.ifree(victim)
     }
+}
+
+/// The first clear bit of `bits` in `first..limit` (bit `i` is bit
+/// `i % 8` of byte `i / 8`), or `ENOSPC`. Scans a little-endian 64-bit
+/// word at a time; bits below `first` in its word count as taken.
+fn first_clear_bit(bits: &[u8], first: u64, limit: u64) -> KResult<u64> {
+    let mut w = first / 64;
+    let mut free = !0u64 << (first % 64);
+    while w * 64 < limit {
+        let at = w as usize * 8;
+        free &= !u64::from_le_bytes(bits[at..at + 8].try_into().expect("8 bytes"));
+        if free != 0 {
+            let i = w * 64 + u64::from(free.trailing_zeros());
+            return if i < limit { Ok(i) } else { Err(Errno::ENOSPC) };
+        }
+        w += 1;
+        free = !0;
+    }
+    Err(Errno::ENOSPC)
 }
 
 /// Drops one Delay pin per listed block; a buffer whose last pin drops
@@ -1614,7 +1628,41 @@ impl Refines<FsModel> for Rsfs {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use sk_ksim::block::RamDisk;
+
+    /// The bit-at-a-time scan `first_clear_bit` replaces.
+    fn first_clear_bit_by_bits(bits: &[u8], first: u64, limit: u64) -> KResult<u64> {
+        (first..limit)
+            .find(|&i| bits[(i / 8) as usize] & (1 << (i % 8)) == 0)
+            .ok_or(Errno::ENOSPC)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+        /// The word scan picks the same first-fit index as the bit loop:
+        /// random or nearly full 512-bit maps (0..3 holes), unaligned
+        /// bounds, `first` at or past `limit`; a full map is `ENOSPC`.
+        #[test]
+        fn first_clear_bit_matches_the_bit_loop(
+            noise in prop::collection::vec(any::<u8>(), 64),
+            holes in prop::collection::vec(0u64..512, 0..4),
+            random in 0u8..4,
+            first in 0u64..530,
+            limit in 0u64..=512,
+        ) {
+            let full = random != 0 && holes.is_empty();
+            let mut bits = if random == 0 { noise } else { vec![0xFF; 64] };
+            for h in holes {
+                bits[(h / 8) as usize] &= !(1 << (h % 8));
+            }
+            let got = first_clear_bit(&bits, first, limit);
+            prop_assert_eq!(got, first_clear_bit_by_bits(&bits, first, limit));
+            if full {
+                prop_assert_eq!(got, Err(Errno::ENOSPC));
+            }
+        }
+    }
 
     fn mount(mode: JournalMode) -> Rsfs {
         let dev: Arc<dyn BlockDevice> = Arc::new(RamDisk::new(1024));

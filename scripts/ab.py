@@ -24,7 +24,14 @@ run is incorrect or failed operations.
 
 A fixed pure-Python CPU loop (the canary) is timed before every run and
 reported per side, so a host that slowed down during the comparison shows
-in the output instead of in the ratios alone.
+in the output instead of in the ratios alone. Each pair also gets a
+canary ratio (change/base canary time), and every time or rate metric
+(unit `us`, `s` or `1/s`) gets a canary-normalised median ratio next to
+its raw one: each pair's ratio is divided by the pair's canary ratio for
+a time and multiplied by it for a rate, so a host that ran 5% slower
+during the change run no longer reads as a 5% regression. Counts and
+percentages are not CPU-speed figures and get no normalised ratio. The
+verdicts are computed from the raw values only.
 
 Examples:
 
@@ -103,14 +110,21 @@ def run(binary, args, seed):
     return report
 
 
-def directions():
-    """Metric name -> 'higher' or 'lower', from BENCHMARK.json."""
+def declared_metrics():
+    """Metric name -> its BENCHMARK.json entry (`better`, `unit`, ...)."""
     with open(os.path.join(REPO, "BENCHMARK.json")) as f:
         bench = json.load(f)
-    return {
-        m["name"]: m["better"]
-        for m in bench.get("end_to_end", []) + bench.get("per_layer", [])
-    }
+    return {m["name"]: m for m in bench.get("end_to_end", []) + bench.get("per_layer", [])}
+
+
+# How a metric scales with the host's CPU time: a time grows with it,
+# a rate shrinks with it, anything else is left alone.
+CANARY_POWER = {"us": 1, "s": 1, "1/s": -1}
+
+
+def canary_ratio(pair):
+    base, change = pair
+    return change["canary_ms"] / base["canary_ms"]
 
 
 def quartiles(xs):
@@ -137,14 +151,19 @@ def verdict(base, change, higher):
     return "unresolved"
 
 
-def summarize(pairs, better):
+def summarize(pairs, declared):
     names = [n for n in pairs[0][0]["metrics"] if n in pairs[0][1]["metrics"]]
+    canary = [canary_ratio(p) for p in pairs]
     rows = []
     for name in names:
         base = [b["metrics"][name]["value"] for b, _ in pairs]
         change = [c["metrics"][name]["value"] for _, c in pairs]
         ratios = [c / b for b, c in zip(base, change) if b]
-        higher = better.get(name, "lower") == "higher"
+        meta = declared.get(name, {})
+        higher = meta.get("better", "lower") == "higher"
+        power = CANARY_POWER.get(meta.get("unit"))
+        norm = ([c / b / k ** power for b, c, k in zip(base, change, canary) if b]
+                if power is not None else [])
         wins = sum((c > b) if higher else (c < b) for b, c in zip(base, change))
         q1, q3 = quartiles(base)
         rows.append({
@@ -153,6 +172,7 @@ def summarize(pairs, better):
             "base_median": statistics.median(base),
             "change_median": statistics.median(change),
             "median_ratio": statistics.median(ratios) if ratios else None,
+            "canary_norm_ratio": statistics.median(norm) if norm else None,
             "base_q1": q1,
             "base_q3": q3,
             "wins": wins,
@@ -203,29 +223,35 @@ def main():
         print(f"seed {seed}: {first} base {b[first]['value']:.4g} "
               f"change {c[first]['value']:.4g} "
               f"(canary {got['base']['canary_ms']:.0f}/"
-              f"{got['change']['canary_ms']:.0f} ms)", file=sys.stderr)
+              f"{got['change']['canary_ms']:.0f} ms, "
+              f"ratio {canary_ratio(pairs[-1]):.3f})", file=sys.stderr)
 
-    rows = summarize(pairs, directions())
+    rows = summarize(pairs, declared_metrics())
     print(f"{opts.workload}: {opts.base} -> {opts.change or 'working tree'}, "
           f"{len(pairs)} pairs of {opts.seconds} s, trace {opts.trace}")
     print(f"{'metric':<22} {'better':<6} {'base':>12} {'change':>12} "
-          f"{'ratio':>7} {'base IQR':>25} {'wins':>6}  verdict")
+          f"{'ratio':>7} {'norm':>7} {'base IQR':>25} {'wins':>6}  verdict")
     for r in rows:
-        ratio = f"{r['median_ratio']:.3f}" if r["median_ratio"] is not None else "-"
+        ratio, norm = (f"{r[k]:.3f}" if r[k] is not None else "-"
+                       for k in ("median_ratio", "canary_norm_ratio"))
         iqr = f"[{r['base_q1']:.4g}, {r['base_q3']:.4g}]"
         print(f"{r['metric']:<22} {r['better']:<6} {r['base_median']:>12.4g} "
-              f"{r['change_median']:>12.4g} {ratio:>7} {iqr:>25} "
+              f"{r['change_median']:>12.4g} {ratio:>7} {norm:>7} {iqr:>25} "
               f"{r['wins']:>3}/{r['pairs']}  {r['verdict']}")
     for side in ("base", "change"):
         idx = 0 if side == "base" else 1
         canary = statistics.median(p[idx]["canary_ms"] for p in pairs)
         print(f"canary {side}: median {canary:.1f} ms")
+    print("canary ratio per pair (change/base): "
+          + " ".join(f"{canary_ratio(p):.3f}" for p in pairs))
     print(f"correct and 0 failed in every run: {'yes' if not bad else 'NO'}")
     for side, seed, correct, failed in bad:
         print(f"  {side} seed {seed}: correct={correct} failed={failed}")
     if opts.json:
         with open(opts.json, "w") as f:
-            json.dump({"pairs": [{"base": b, "change": c} for b, c in pairs],
+            json.dump({"pairs": [{"base": b, "change": c,
+                                  "canary_ratio": canary_ratio((b, c))}
+                                 for b, c in pairs],
                        "summary": rows}, f, indent=1)
     sys.exit(1 if bad else 0)
 
