@@ -952,58 +952,22 @@ fn bench_lockdep(threads: usize) -> Value {
 /// abort behavior when a commit record write fails.
 mod crashbench {
     use super::{num, obj, Value};
-    use sk_core::spec::crash::{crash_images, CrashPolicy};
+    use sk_core::spec::crash::{barrier_images, CrashPolicy};
     use sk_core::spec::Refines;
     use sk_fs_legacy::{BugKnobs, Cext4};
     use sk_fs_safe::rsfs::{JournalMode, Rsfs};
     use sk_ksim::block::{
-        BlockDevice, CrashDevice, DeviceStats, DiskFaultConfig, FaultyDisk, PendingWrite, RamDisk,
-        BLOCK_SIZE,
+        BlockDevice, CrashDevice, DiskFaultConfig, FaultyDisk, RamDisk, BLOCK_SIZE,
     };
-    use sk_ksim::errno::{Errno, KResult};
+    use sk_ksim::errno::Errno;
     use sk_legacy::LegacyCtx;
     use sk_vfs::modular::FileSystem;
-    use std::sync::{Arc, Mutex};
+    use std::sync::Arc;
 
-    /// Captures the pending-write set at each flush barrier.
-    struct Tap {
-        inner: Arc<CrashDevice<Arc<RamDisk>>>,
-        intervals: Mutex<Vec<Vec<PendingWrite>>>,
-    }
-
-    impl BlockDevice for Tap {
-        fn num_blocks(&self) -> u64 {
-            self.inner.num_blocks()
-        }
-        fn block_size(&self) -> usize {
-            self.inner.block_size()
-        }
-        fn read_block(&self, blkno: u64, buf: &mut [u8]) -> KResult<()> {
-            self.inner.read_block(blkno, buf)
-        }
-        fn write_block(&self, blkno: u64, buf: &[u8]) -> KResult<()> {
-            self.inner.write_block(blkno, buf)
-        }
-        fn flush(&self) -> KResult<()> {
-            self.intervals
-                .lock()
-                .unwrap()
-                .push(self.inner.pending_writes());
-            self.inner.flush()
-        }
-        fn stats(&self) -> DeviceStats {
-            self.inner.stats()
-        }
-    }
-
-    fn tapped_device() -> (Arc<RamDisk>, Arc<Tap>) {
+    fn crash_device() -> (Arc<RamDisk>, Arc<CrashDevice<Arc<RamDisk>>>) {
         let ram = Arc::new(RamDisk::new(2048));
         let crash = Arc::new(CrashDevice::new(Arc::clone(&ram)));
-        let tap = Arc::new(Tap {
-            inner: crash,
-            intervals: Mutex::new(Vec::new()),
-        });
-        (ram, tap)
+        (ram, crash)
     }
 
     fn policy_name(p: CrashPolicy) -> &'static str {
@@ -1012,32 +976,6 @@ mod crashbench {
             CrashPolicy::Subsets => "subsets",
             CrashPolicy::Torn => "torn",
         }
-    }
-
-    /// Explodes every barrier interval under `policy` and feeds each
-    /// image to `judge`; returns (images_checked, failures).
-    fn enumerate(
-        base: Vec<u8>,
-        intervals: &[Vec<PendingWrite>],
-        policy: CrashPolicy,
-        mut judge: impl FnMut(&[u8]) -> Result<(), String>,
-    ) -> (usize, usize) {
-        let mut checked = 0;
-        let mut failures = 0;
-        let mut applied = base;
-        for interval in intervals {
-            for img in crash_images(&applied, interval, BLOCK_SIZE, policy) {
-                checked += 1;
-                if judge(&img).is_err() {
-                    failures += 1;
-                }
-            }
-            for w in interval {
-                let off = w.blkno as usize * BLOCK_SIZE;
-                applied[off..off + BLOCK_SIZE].copy_from_slice(&w.data);
-            }
-        }
-        (checked, failures)
     }
 
     /// rsfs judge: the image must mount, recover to a state the schedule
@@ -1101,21 +1039,24 @@ mod crashbench {
         for policy in policies {
             // rsfs+journal: create → write → sync (commit, commit,
             // checkpoint barriers), judged against the op history.
-            let (ram, tap) = tapped_device();
-            let tap_dyn: Arc<dyn BlockDevice> = Arc::clone(&tap) as Arc<dyn BlockDevice>;
-            Rsfs::mkfs(&tap_dyn, 128, 64).expect("mkfs");
+            let (ram, crash) = crash_device();
+            let dev: Arc<dyn BlockDevice> = Arc::clone(&crash) as Arc<dyn BlockDevice>;
+            Rsfs::mkfs(&dev, 128, 64).expect("mkfs");
             let base = ram.snapshot();
-            tap.intervals.lock().unwrap().clear();
-            let fs = Rsfs::mount(tap_dyn, JournalMode::PerOp).expect("mount");
+            crash.take_barriers();
+            let fs = Rsfs::mount(dev, JournalMode::PerOp).expect("mount");
             let mut models = vec![fs.abstraction()];
             let ino = fs.create(fs.root_ino(), "bench").unwrap();
             models.push(fs.abstraction());
             fs.write(ino, 0, &vec![0x5Au8; BLOCK_SIZE + 100]).unwrap();
             models.push(fs.abstraction());
             fs.sync().unwrap();
-            let intervals = tap.intervals.lock().unwrap().clone();
-            let (checked, failures) =
-                enumerate(base, &intervals, policy, |img| judge_rsfs(img, &models));
+            let barriers = crash.take_barriers();
+            let (mut checked, mut failures) = (0, 0);
+            for (_, _, img) in barrier_images(&base, &barriers, BLOCK_SIZE, policy) {
+                checked += 1;
+                failures += usize::from(judge_rsfs(&img, &models).is_err());
+            }
             println!(
                 "crash_consistency rsfs+journal {:<8}: {checked} images, {failures} failures",
                 policy_name(policy)
@@ -1123,19 +1064,19 @@ mod crashbench {
             rows.push(obj(vec![
                 ("fs", Value::String("rsfs+journal".into())),
                 ("policy", Value::String(policy_name(policy).into())),
-                ("barrier_intervals", num(intervals.len() as f64)),
+                ("barrier_intervals", num(barriers.len() as f64)),
                 ("images_checked", num(checked as f64)),
                 ("recovery_failures", num(failures as f64)),
             ]));
 
             // cext4: the same schedule shape, held to the weak judge.
-            let (ram, tap) = tapped_device();
-            let tap_dyn: Arc<dyn BlockDevice> = Arc::clone(&tap) as Arc<dyn BlockDevice>;
-            Cext4::mkfs(&tap_dyn, 128).expect("mkfs");
+            let (ram, crash) = crash_device();
+            let dev: Arc<dyn BlockDevice> = Arc::clone(&crash) as Arc<dyn BlockDevice>;
+            Cext4::mkfs(&dev, 128).expect("mkfs");
             let base = ram.snapshot();
-            tap.intervals.lock().unwrap().clear();
+            crash.take_barriers();
             let fs =
-                Cext4::mount(tap_dyn, LegacyCtx::new(), Arc::new(BugKnobs::none())).expect("mount");
+                Cext4::mount(dev, LegacyCtx::new(), Arc::new(BugKnobs::none())).expect("mount");
             let root = fs.root_ino();
             let p = fs.create_errptr(root, "bench", 0o100644).check().unwrap();
             let ino = fs
@@ -1145,8 +1086,12 @@ mod crashbench {
             fs.write_range(ino, 0, &vec![0x5Au8; BLOCK_SIZE + 100])
                 .unwrap();
             fs.sync_inner().unwrap();
-            let intervals = tap.intervals.lock().unwrap().clone();
-            let (checked, failures) = enumerate(base, &intervals, policy, judge_cext4);
+            let barriers = crash.take_barriers();
+            let (mut checked, mut failures) = (0, 0);
+            for (_, _, img) in barrier_images(&base, &barriers, BLOCK_SIZE, policy) {
+                checked += 1;
+                failures += usize::from(judge_cext4(&img).is_err());
+            }
             println!(
                 "crash_consistency cext4        {:<8}: {checked} images, {failures} failures",
                 policy_name(policy)
@@ -1154,7 +1099,7 @@ mod crashbench {
             rows.push(obj(vec![
                 ("fs", Value::String("cext4".into())),
                 ("policy", Value::String(policy_name(policy).into())),
-                ("barrier_intervals", num(intervals.len() as f64)),
+                ("barrier_intervals", num(barriers.len() as f64)),
                 ("images_checked", num(checked as f64)),
                 ("recovery_failures", num(failures as f64)),
             ]));

@@ -19,6 +19,11 @@
 //!
 //! The journal's correctness argument in `sk-fs-safe` is exactly that under
 //! *all three* policies every reachable image recovers to an allowed model.
+//!
+//! A workload spans many flush barriers. The `CrashDevice` logs the
+//! pending set at every barrier, and [`barrier_images`] is the one walk
+//! over that log: the crash images of each interval, each cut over the
+//! image the earlier intervals left durable.
 
 use sk_ksim::block::{PendingWrite, SECTOR_SIZE};
 use sk_ksim::scenario::EngineStream;
@@ -40,14 +45,66 @@ pub enum CrashPolicy {
 /// Upper bound on pending writes for [`CrashPolicy::Subsets`] (2^16 images).
 pub const MAX_SUBSET_PENDING: usize = 16;
 
-/// Applies `writes` (in order) to a copy of `base` and returns it.
-fn apply(base: &[u8], writes: &[&PendingWrite], block_size: usize) -> Vec<u8> {
-    let mut img = base.to_vec();
+/// Writes `writes` (in order) over `img`.
+fn write_over<'a>(
+    img: &mut [u8],
+    writes: impl IntoIterator<Item = &'a PendingWrite>,
+    block_size: usize,
+) {
     for w in writes {
         let off = w.blkno as usize * block_size;
         img[off..off + block_size].copy_from_slice(&w.data);
     }
+}
+
+/// Applies `writes` (in order) to a copy of `base` and returns it.
+fn apply<'a>(
+    base: &[u8],
+    writes: impl IntoIterator<Item = &'a PendingWrite>,
+    block_size: usize,
+) -> Vec<u8> {
+    let mut img = base.to_vec();
+    write_over(&mut img, writes, block_size);
     img
+}
+
+/// The image once every write of `barriers` has reached media: `base`
+/// with each interval applied in order. A sampled checker uses it to
+/// build the durable state that its chosen interval starts from.
+pub fn apply_barriers(base: &[u8], barriers: &[Vec<PendingWrite>], block_size: usize) -> Vec<u8> {
+    apply(base, barriers.iter().flatten(), block_size)
+}
+
+/// Walks every post-crash image of a barrier log, in order.
+///
+/// `barriers` is the log `CrashDevice::take_barriers` returns: entry `k`
+/// holds the writes pending when the `k`-th flush began. A checker that
+/// also crashes with writes still cached appends `pending_writes()` as a
+/// last interval. A crash inside interval `k` finds `base` with every
+/// write of `barriers[..k]` durable, plus whatever `policy` lets reach
+/// media of `barriers[k]`. The walk yields `(k, i, image)` for the `i`-th
+/// [`crash_images`] image of interval `k`. It is lazy, one interval at a
+/// time, so a judge that stops at its first failure stops the walk.
+///
+/// # Panics
+///
+/// As [`crash_images`], when the walk reaches an interval too large for
+/// [`CrashPolicy::Subsets`].
+pub fn barrier_images<'a>(
+    base: &[u8],
+    barriers: &'a [Vec<PendingWrite>],
+    block_size: usize,
+    policy: CrashPolicy,
+) -> impl Iterator<Item = (usize, usize, Vec<u8>)> + 'a {
+    let mut durable = base.to_vec();
+    barriers.iter().enumerate().flat_map(move |(k, interval)| {
+        let images = crash_images(&durable, interval, block_size, policy);
+        write_over(&mut durable, interval, block_size);
+        images
+            .into_iter()
+            .enumerate()
+            .map(move |(i, img)| (k, i, img))
+    })
 }
 
 /// Enumerates every post-crash disk image reachable from `base` with the
@@ -66,18 +123,14 @@ pub fn crash_images(
 ) -> Vec<Vec<u8>> {
     match policy {
         CrashPolicy::Prefixes => (0..=pending.len())
-            .map(|n| {
-                let refs: Vec<&PendingWrite> = pending[..n].iter().collect();
-                apply(base, &refs, block_size)
-            })
+            .map(|n| apply(base, &pending[..n], block_size))
             .collect(),
         CrashPolicy::Torn => {
             // Sector-atomic prefixes: the cut write lands partially.
             let spb = (block_size / SECTOR_SIZE).max(1);
             let mut images = Vec::new();
             for n in 0..=pending.len() {
-                let refs: Vec<&PendingWrite> = pending[..n].iter().collect();
-                images.push(apply(base, &refs, block_size));
+                images.push(apply(base, &pending[..n], block_size));
                 // The (n+1)-th write is the one the crash interrupts: apply
                 // its first k sectors over the prefix, for every proper k.
                 if let Some(cut) = pending.get(n) {
@@ -101,13 +154,12 @@ pub fn crash_images(
             let n = pending.len();
             (0u32..(1 << n))
                 .map(|mask| {
-                    let refs: Vec<&PendingWrite> = pending
+                    let applied = pending
                         .iter()
                         .enumerate()
                         .filter(|(i, _)| mask & (1 << i) != 0)
-                        .map(|(_, w)| w)
-                        .collect();
-                    apply(base, &refs, block_size)
+                        .map(|(_, w)| w);
+                    apply(base, applied, block_size)
                 })
                 .collect()
         }
@@ -137,14 +189,12 @@ pub fn sample_crash_image(
         CrashPolicy::Prefixes => {
             let n = stream.gen_range(0..=pending.len());
             stream.emit(format!("crash prefixes cut={n}/{}", pending.len()));
-            let refs: Vec<&PendingWrite> = pending[..n].iter().collect();
-            apply(base, &refs, block_size)
+            apply(base, &pending[..n], block_size)
         }
         CrashPolicy::Torn => {
             let spb = (block_size / SECTOR_SIZE).max(1);
             let n = stream.gen_range(0..=pending.len());
-            let refs: Vec<&PendingWrite> = pending[..n].iter().collect();
-            let mut img = apply(base, &refs, block_size);
+            let mut img = apply(base, &pending[..n], block_size);
             // The (n+1)-th write is the one the crash interrupts; draw how
             // many of its sectors reach media (0 = none, i.e. plain prefix).
             // The sector draw happens whenever a cut write exists so the
@@ -179,13 +229,12 @@ pub fn sample_crash_image(
                 stream.gen_u64() & ((1u64 << pending.len()) - 1)
             };
             stream.emit(format!("crash subsets mask={mask:#x} of={}", pending.len()));
-            let refs: Vec<&PendingWrite> = pending
+            let applied = pending
                 .iter()
                 .enumerate()
                 .filter(|(i, _)| mask & (1u64 << i) != 0)
-                .map(|(_, w)| w)
-                .collect();
-            apply(base, &refs, block_size)
+                .map(|(_, w)| w);
+            apply(base, applied, block_size)
         }
     }
 }
@@ -415,6 +464,53 @@ mod tests {
         ] {
             assert_eq!(run(policy), run(policy));
         }
+    }
+
+    #[test]
+    fn barrier_walk_matches_the_hand_loop() {
+        let bs = 2 * SECTOR_SIZE;
+        let base = vec![0u8; 4 * bs];
+        // Three intervals: two writes, an empty barrier, then a rewrite
+        // of a block the first interval already made durable.
+        let barriers = vec![
+            vec![w(0, 1, bs), w(1, 2, bs)],
+            vec![],
+            vec![w(1, 3, bs), w(2, 4, bs), w(3, 5, bs)],
+        ];
+        for policy in [
+            CrashPolicy::Prefixes,
+            CrashPolicy::Subsets,
+            CrashPolicy::Torn,
+        ] {
+            // The walk every checker used to write out by hand.
+            let mut want = Vec::new();
+            let mut applied = base.clone();
+            for (k, interval) in barriers.iter().enumerate() {
+                for (i, img) in crash_images(&applied, interval, bs, policy)
+                    .into_iter()
+                    .enumerate()
+                {
+                    want.push((k, i, img));
+                }
+                for w in interval {
+                    let off = w.blkno as usize * bs;
+                    applied[off..off + bs].copy_from_slice(&w.data);
+                }
+            }
+            let got: Vec<_> = barrier_images(&base, &barriers, bs, policy).collect();
+            assert_eq!(got, want, "{policy:?}");
+            assert_eq!(applied, apply_barriers(&base, &barriers, bs));
+        }
+        // The empty barrier still counts as an interval: its one image is
+        // the state the first interval left durable.
+        let got: Vec<_> = barrier_images(&base, &barriers, bs, CrashPolicy::Prefixes).collect();
+        assert_eq!(got.iter().filter(|(k, _, _)| *k == 1).count(), 1);
+        // Stopping early never builds a later interval's images: a
+        // Subsets walk stops before the interval it would refuse.
+        let mut huge = barriers.clone();
+        huge.push((0..17).map(|i| w(i % 4, 6, bs)).collect());
+        let first = barrier_images(&base, &huge, bs, CrashPolicy::Subsets).next();
+        assert_eq!(first.map(|(k, i, _)| (k, i)), Some((0, 0)));
     }
 
     #[test]

@@ -453,60 +453,26 @@ fn design_flaw_probe(seed: u64) -> RunOutcome {
 
 // --- crash-consistency probes (CWE-459) --------------------------------------
 
-use sk_core::spec::crash::{crash_images, CrashPolicy};
-use sk_ksim::block::{BlockDevice, CrashDevice, DeviceStats, PendingWrite, RamDisk, BLOCK_SIZE};
-use sk_ksim::errno::KResult;
+use sk_core::spec::crash::{barrier_images, CrashPolicy};
+use sk_ksim::block::{BlockDevice, CrashDevice, PendingWrite, RamDisk, BLOCK_SIZE};
 use sk_vfs::modular::FileSystem;
 
-/// Captures the pending-write set of a [`CrashDevice`] at each flush
-/// barrier, so the crash probes can enumerate mid-sync crash images.
-struct FlushTap {
-    inner: Arc<CrashDevice<Arc<RamDisk>>>,
-    intervals: parking_lot::Mutex<Vec<Vec<PendingWrite>>>,
-}
-
-impl BlockDevice for FlushTap {
-    fn num_blocks(&self) -> u64 {
-        self.inner.num_blocks()
-    }
-    fn block_size(&self) -> usize {
-        self.inner.block_size()
-    }
-    fn read_block(&self, blkno: u64, buf: &mut [u8]) -> KResult<()> {
-        self.inner.read_block(blkno, buf)
-    }
-    fn write_block(&self, blkno: u64, buf: &[u8]) -> KResult<()> {
-        self.inner.write_block(blkno, buf)
-    }
-    fn flush(&self) -> KResult<()> {
-        self.intervals.lock().push(self.inner.pending_writes());
-        self.inner.flush()
-    }
-    fn stats(&self) -> DeviceStats {
-        self.inner.stats()
-    }
-}
-
-fn crash_tapped() -> (Arc<RamDisk>, Arc<FlushTap>, Arc<dyn BlockDevice>) {
-    let ram = Arc::new(RamDisk::new(1024));
-    let crash = Arc::new(CrashDevice::new(Arc::clone(&ram)));
-    let tap = Arc::new(FlushTap {
-        inner: crash,
-        intervals: parking_lot::Mutex::new(Vec::new()),
-    });
-    let dyn_dev: Arc<dyn BlockDevice> = Arc::clone(&tap) as Arc<dyn BlockDevice>;
-    (ram, tap, dyn_dev)
+/// A crash device over a RAM disk whose durable image the probes
+/// snapshot through `inner()`.
+fn crash_device() -> (Arc<CrashDevice<Arc<RamDisk>>>, Arc<dyn BlockDevice>) {
+    let crash = Arc::new(CrashDevice::new(Arc::new(RamDisk::new(1024))));
+    let dyn_dev: Arc<dyn BlockDevice> = Arc::clone(&crash) as Arc<dyn BlockDevice>;
+    (crash, dyn_dev)
 }
 
 /// The two-version crash scenario: a two-block file is written and
 /// synced (version 1), then overwritten and synced again. Returns the
-/// durable image as of version 1, the write intervals of the second
+/// durable image as of version 1, the barrier log of the second
 /// sync, and both payloads.
 #[allow(clippy::type_complexity)]
 fn crash_schedule(
     fs: &dyn FileSystem,
-    ram: &RamDisk,
-    tap: &FlushTap,
+    crash: &CrashDevice<Arc<RamDisk>>,
     seed: u64,
 ) -> (Vec<u8>, Vec<Vec<PendingWrite>>, Vec<u8>, Vec<u8>) {
     let v1 = vec![seed as u8; 2 * BLOCK_SIZE];
@@ -515,12 +481,11 @@ fn crash_schedule(
     let ino = fs.create(root, "cf").expect("create");
     fs.write(ino, 0, &v1).expect("write v1");
     fs.sync().expect("sync v1");
-    let base = ram.snapshot();
-    tap.intervals.lock().clear();
+    let base = crash.inner().snapshot();
+    crash.take_barriers();
     fs.write(ino, 0, &v2).expect("write v2");
     fs.sync().expect("sync v2");
-    let intervals = tap.intervals.lock().clone();
-    (base, intervals, v1, v2)
+    (base, crash.take_barriers(), v1, v2)
 }
 
 /// Enumerates every prefix crash image of the second sync and returns
@@ -529,25 +494,14 @@ fn crash_schedule(
 /// returns the file's content (`None` = unreadable, which also counts).
 fn find_torn_image(
     base: &[u8],
-    intervals: &[Vec<PendingWrite>],
+    barriers: &[Vec<PendingWrite>],
     v1: &[u8],
     v2: &[u8],
     reread: impl Fn(&[u8]) -> Option<Vec<u8>>,
 ) -> Option<Vec<u8>> {
-    let mut applied = base.to_vec();
-    for interval in intervals {
-        for img in crash_images(&applied, interval, BLOCK_SIZE, CrashPolicy::Prefixes) {
-            match reread(&img) {
-                Some(content) if content == v1 || content == v2 => {}
-                _ => return Some(img),
-            }
-        }
-        for w in interval {
-            let off = w.blkno as usize * BLOCK_SIZE;
-            applied[off..off + BLOCK_SIZE].copy_from_slice(&w.data);
-        }
-    }
-    None
+    barrier_images(base, barriers, BLOCK_SIZE, CrashPolicy::Prefixes)
+        .map(|(_, _, img)| img)
+        .find(|img| !matches!(reread(img), Some(content) if content == v1 || content == v2))
 }
 
 fn reread_rsfs_none(img: &[u8]) -> Option<Vec<u8>> {
@@ -569,13 +523,13 @@ fn reread_rsfs_none(img: &[u8]) -> Option<Vec<u8>> {
 fn crash_loss_probe_legacy(seed: u64) -> RunOutcome {
     use sk_fs_legacy::{cext4_ops, BugKnobs, Cext4};
     use sk_vfs::shim::LegacyFsAdapter;
-    let (ram, tap, dev) = crash_tapped();
+    let (crash, dev) = crash_device();
     Cext4::mkfs(&dev, 128).expect("mkfs");
     let ctx = LegacyCtx::new();
     let fs = Arc::new(Cext4::mount(dev, ctx.clone(), Arc::new(BugKnobs::none())).expect("mount"));
     let adapter = LegacyFsAdapter::new(Arc::new(cext4_ops(fs)), ctx);
-    let (base, intervals, v1, v2) = crash_schedule(&adapter, &ram, &tap, seed);
-    let torn = find_torn_image(&base, &intervals, &v1, &v2, |img| {
+    let (base, barriers, v1, v2) = crash_schedule(&adapter, &crash, seed);
+    let torn = find_torn_image(&base, &barriers, &v1, &v2, |img| {
         let ram = Arc::new(RamDisk::new(1024));
         ram.restore(img).ok()?;
         let dev: Arc<dyn BlockDevice> = ram;
@@ -602,11 +556,11 @@ fn crash_loss_probe_legacy(seed: u64) -> RunOutcome {
 /// which is exactly why this class files under Functional.
 fn crash_loss_probe_safe(seed: u64) -> RunOutcome {
     use sk_fs_safe::rsfs::{JournalMode, Rsfs};
-    let (ram, tap, dev) = crash_tapped();
+    let (crash, dev) = crash_device();
     Rsfs::mkfs(&dev, 128, 64).expect("mkfs");
     let fs = Rsfs::mount(dev, JournalMode::None).expect("mount");
-    let (base, intervals, v1, v2) = crash_schedule(&fs, &ram, &tap, seed);
-    let torn = find_torn_image(&base, &intervals, &v1, &v2, reread_rsfs_none).is_some();
+    let (base, barriers, v1, v2) = crash_schedule(&fs, &crash, seed);
+    let torn = find_torn_image(&base, &barriers, &v1, &v2, reread_rsfs_none).is_some();
     RunOutcome {
         class_events: 0,
         leaks: 0,
@@ -635,7 +589,7 @@ fn crash_loss_probe_spec_checked(seed: u64) -> RunOutcome {
         }
     }
 
-    let (ram, tap, dev) = crash_tapped();
+    let (crash, dev) = crash_device();
     Rsfs::mkfs(&dev, 128, 64).expect("mkfs");
     let fs = Rsfs::mount(dev, JournalMode::None).expect("mount");
 
@@ -647,8 +601,8 @@ fn crash_loss_probe_spec_checked(seed: u64) -> RunOutcome {
     fs.sync().expect("sync v1");
     let mut sys = CrashSys { fs: Some(fs) };
     let model_v1 = sys.abstraction();
-    let base = ram.snapshot();
-    tap.intervals.lock().clear();
+    let base = crash.inner().snapshot();
+    crash.take_barriers();
     sys.fs
         .as_ref()
         .unwrap()
@@ -663,9 +617,8 @@ fn crash_loss_probe_spec_checked(seed: u64) -> RunOutcome {
             let fs = s.fs.take().expect("mounted");
             fs.sync().expect("sync v2");
             drop(fs);
-            let intervals = tap.intervals.lock().clone();
-            let img = find_torn_image(&base, &intervals, &v1, &v2, reread_rsfs_none)
-                .unwrap_or_else(|| ram.snapshot());
+            let img = find_torn_image(&base, &crash.take_barriers(), &v1, &v2, reread_rsfs_none)
+                .unwrap_or_else(|| crash.inner().snapshot());
             let ram2 = Arc::new(RamDisk::new(1024));
             ram2.restore(&img).expect("restore");
             let dev2: Arc<dyn BlockDevice> = ram2;

@@ -29,8 +29,8 @@ use sk_ksim::errno::KResult;
 
 use crate::journal::{read_record, LogRecord, JSB_MAGIC};
 use crate::layout::{
-    dirent_parse, DiskInode, Superblock, BLOCK_BITMAP, BLOCK_SIZE, INODES_PER_BLOCK, INODE_BITMAP,
-    INODE_SIZE, INODE_TABLE, MODE_DIR, MODE_FREE, NDIRECT, NINDIRECT, ROOT_INO, SB_BLOCK,
+    dirent_parse, DiskInode, Superblock, BLOCK_BITMAP, INODES_PER_BLOCK, INODE_BITMAP, INODE_SIZE,
+    INODE_TABLE, MAX_FILE_SIZE, MODE_DIR, MODE_FREE, NDIRECT, NINDIRECT, ROOT_INO, SB_BLOCK,
 };
 
 /// One detected inconsistency.
@@ -184,7 +184,9 @@ pub fn fsck(dev: &dyn BlockDevice) -> KResult<FsckReport> {
             return;
         }
         report.blocks_checked += 1;
-        if !bit(&block_bitmap, blkno) {
+        // A pointer past the file system is unallocated by definition;
+        // checking it first keeps a corrupt pointer out of the bitmap.
+        if blkno >= u64::from(sb.total_blocks) || !bit(&block_bitmap, blkno) {
             report
                 .findings
                 .push(Finding::UnallocatedBlockReferenced { ino, blkno });
@@ -218,8 +220,7 @@ pub fn fsck(dev: &dyn BlockDevice) -> KResult<FsckReport> {
         }
         // I6: holes are legal, so the checkable bound is the format
         // maximum (nine direct + one single-indirect block's worth).
-        let max_by_format = ((NDIRECT + NINDIRECT) * BLOCK_SIZE) as u64;
-        if di.size > max_by_format {
+        if di.size > MAX_FILE_SIZE {
             report
                 .findings
                 .push(Finding::SizeBeyondAllocation { ino, size: di.size });
@@ -233,7 +234,9 @@ pub fn fsck(dev: &dyn BlockDevice) -> KResult<FsckReport> {
     reachable.insert(ROOT_INO);
     while let Some(dir) = queue.pop_front() {
         let Some(di) = inodes.get(&dir) else { continue };
-        if di.mode != MODE_DIR {
+        // A directory larger than the format allows is already an I6
+        // finding; its size is not trusted to size the read buffer.
+        if di.mode != MODE_DIR || di.size > MAX_FILE_SIZE {
             continue;
         }
         // Read directory content through the raw device.
@@ -382,6 +385,7 @@ mod tests {
     use crate::layout::MODE_REG;
     use crate::rsfs::{JournalMode, Rsfs};
     use sk_ksim::block::RamDisk;
+    use sk_ksim::errno::Errno;
     use sk_vfs::modular::FileSystem;
     use std::sync::Arc;
 
@@ -571,6 +575,66 @@ mod tests {
             .findings
             .iter()
             .any(|f| matches!(f, Finding::UnallocatedBlockReferenced { .. })));
+    }
+
+    /// Rewrites inode `name` (a child of the root) on the raw image.
+    fn patch_inode(
+        ram: &RamDisk,
+        dev: &Arc<dyn BlockDevice>,
+        name: &str,
+        patch: fn(&mut DiskInode),
+    ) {
+        let ino = {
+            let fs = Rsfs::mount(Arc::clone(dev), JournalMode::PerOp).unwrap();
+            fs.lookup(fs.root_ino(), name).unwrap()
+        };
+        let blkno = INODE_TABLE + ino / INODES_PER_BLOCK as u64;
+        let slot = (ino as usize % INODES_PER_BLOCK) * INODE_SIZE;
+        let mut tbl = vec![0u8; 4096];
+        ram.read_block(blkno, &mut tbl).unwrap();
+        let mut di = DiskInode::decode(&tbl[slot..slot + INODE_SIZE]).unwrap();
+        patch(&mut di);
+        di.encode(&mut tbl[slot..slot + INODE_SIZE]);
+        ram.write_block(blkno, &tbl).unwrap();
+    }
+
+    #[test]
+    fn block_pointer_past_the_file_system_is_a_finding_not_a_panic() {
+        // A pointer far past `total_blocks` also lies far past the
+        // one-block bitmap, so the bitmap must never be indexed with it.
+        let (ram, dev) = populated();
+        patch_inode(&ram, &dev, "top", |di| di.direct[0] = 1 << 20);
+        let report = fsck(&*dev).unwrap();
+        assert!(
+            report.findings.iter().any(|f| matches!(
+                f,
+                Finding::UnallocatedBlockReferenced { blkno, .. } if *blkno == 1 << 20
+            )),
+            "{:?}",
+            report.findings
+        );
+    }
+
+    #[test]
+    fn oversized_directory_is_refused_not_allocated() {
+        // A 1 TiB directory size must size no buffer: fsck reports it
+        // (I6) and skips the walk below it, and rsfs refuses to read it.
+        let (ram, dev) = populated();
+        patch_inode(&ram, &dev, "dir", |di| di.size = 1 << 40);
+        let report = fsck(&*dev).unwrap();
+        assert!(report.findings.iter().any(|f| matches!(
+            f,
+            Finding::SizeBeyondAllocation { size, .. } if *size == 1 << 40
+        )));
+        // What sat below the skipped directory is unreachable.
+        assert!(report
+            .findings
+            .iter()
+            .any(|f| matches!(f, Finding::Orphan { .. })));
+        let fs = Rsfs::mount(Arc::clone(&dev), JournalMode::PerOp).unwrap();
+        let dir = fs.lookup(fs.root_ino(), "dir").unwrap();
+        assert_eq!(fs.readdir(dir).unwrap_err(), Errno::EUCLEAN);
+        assert_eq!(fs.lookup(dir, "file").unwrap_err(), Errno::EUCLEAN);
     }
 
     #[test]

@@ -1148,34 +1148,6 @@ mod tests {
     const JSTART: u64 = 56;
     const JBLOCKS: u64 = 8;
 
-    /// Captures the pending-write set at each flush barrier, so a test can
-    /// enumerate crash images per barrier interval.
-    struct Tap {
-        inner: Arc<CrashDevice<Arc<RamDisk>>>,
-        script: Mutex<Vec<Vec<sk_ksim::block::PendingWrite>>>,
-    }
-    impl BlockDevice for Tap {
-        fn num_blocks(&self) -> u64 {
-            self.inner.num_blocks()
-        }
-        fn block_size(&self) -> usize {
-            self.inner.block_size()
-        }
-        fn read_block(&self, b: u64, buf: &mut [u8]) -> KResult<()> {
-            self.inner.read_block(b, buf)
-        }
-        fn write_block(&self, b: u64, buf: &[u8]) -> KResult<()> {
-            self.inner.write_block(b, buf)
-        }
-        fn flush(&self) -> KResult<()> {
-            self.script.lock().push(self.inner.pending_writes());
-            self.inner.flush()
-        }
-        fn stats(&self) -> sk_ksim::block::DeviceStats {
-            self.inner.stats()
-        }
-    }
-
     fn fresh() -> (Arc<dyn BlockDevice>, Journal) {
         let dev: Arc<dyn BlockDevice> = Arc::new(RamDisk::new(64));
         Journal::format(&dev, JSTART, JBLOCKS).unwrap();
@@ -1761,7 +1733,7 @@ mod tests {
     /// a whole commit must always recover old-or-new, never a mix.
     #[test]
     fn torn_record_writes_never_replay_partially() {
-        use sk_core::spec::crash::{crash_images, CrashPolicy};
+        use sk_core::spec::crash::{barrier_images, CrashPolicy};
 
         let ram = Arc::new(RamDisk::new(64));
         let crash = Arc::new(CrashDevice::new(Arc::clone(&ram)));
@@ -1771,43 +1743,32 @@ mod tests {
         crash_dyn.write_block(5, &img(2)).unwrap();
         crash_dyn.flush().unwrap();
         let base = ram.snapshot();
+        crash.take_barriers();
 
-        let tap = Arc::new(Tap {
-            inner: Arc::clone(&crash),
-            script: Mutex::new(Vec::new()),
-        });
-        let tap_dyn: Arc<dyn BlockDevice> = Arc::clone(&tap) as Arc<dyn BlockDevice>;
-        let j = Journal::open(Arc::clone(&tap_dyn), JSTART, JBLOCKS).unwrap();
+        let j = Journal::open(Arc::clone(&crash_dyn), JSTART, JBLOCKS).unwrap();
         j.commit(&[(3, img(11)), (5, img(12))]).unwrap();
         j.checkpoint_all().unwrap();
 
-        let script = tap.script.lock().clone();
+        let barriers = crash.take_barriers();
         let mut checked = 0;
-        let mut applied_base = base.clone();
-        for interval in &script {
-            for image in crash_images(&applied_base, interval, BLOCK_SIZE, CrashPolicy::Torn) {
-                let scratch = Arc::new(RamDisk::new(64));
-                scratch.restore(&image).unwrap();
-                let scratch_dyn: Arc<dyn BlockDevice> = scratch;
-                Journal::recover(&scratch_dyn, JSTART, JBLOCKS).unwrap();
-                let mut b3 = vec![0u8; BLOCK_SIZE];
-                let mut b5 = vec![0u8; BLOCK_SIZE];
-                scratch_dyn.read_block(3, &mut b3).unwrap();
-                scratch_dyn.read_block(5, &mut b5).unwrap();
-                let old = b3[0] == 1 && b5[0] == 2;
-                let new = b3[0] == 11 && b5[0] == 12;
-                assert!(
-                    old || new,
-                    "torn image {checked}: b3={} b5={}",
-                    b3[0],
-                    b5[0]
-                );
-                checked += 1;
-            }
-            for w in interval {
-                let off = w.blkno as usize * BLOCK_SIZE;
-                applied_base[off..off + BLOCK_SIZE].copy_from_slice(&w.data);
-            }
+        for (_, _, image) in barrier_images(&base, &barriers, BLOCK_SIZE, CrashPolicy::Torn) {
+            let scratch = Arc::new(RamDisk::new(64));
+            scratch.restore(&image).unwrap();
+            let scratch_dyn: Arc<dyn BlockDevice> = scratch;
+            Journal::recover(&scratch_dyn, JSTART, JBLOCKS).unwrap();
+            let mut b3 = vec![0u8; BLOCK_SIZE];
+            let mut b5 = vec![0u8; BLOCK_SIZE];
+            scratch_dyn.read_block(3, &mut b3).unwrap();
+            scratch_dyn.read_block(5, &mut b5).unwrap();
+            let old = b3[0] == 1 && b5[0] == 2;
+            let new = b3[0] == 11 && b5[0] == 12;
+            assert!(
+                old || new,
+                "torn image {checked}: b3={} b5={}",
+                b3[0],
+                b5[0]
+            );
+            checked += 1;
         }
         assert!(checked > 30, "checked {checked} torn images");
     }
@@ -1966,7 +1927,7 @@ mod tests {
         // The flagship property: for EVERY prefix of the device-write
         // sequence of a commit + checkpoint, recovery yields either the
         // old or the new contents of the home blocks — never a mix.
-        use sk_core::spec::crash::{crash_images, CrashPolicy};
+        use sk_core::spec::crash::{barrier_images, CrashPolicy};
 
         let ram = Arc::new(RamDisk::new(64));
         let crash = Arc::new(CrashDevice::new(Arc::clone(&ram)));
@@ -1977,50 +1938,35 @@ mod tests {
         crash_dyn.write_block(5, &img(2)).unwrap();
         crash_dyn.flush().unwrap();
         let base = ram.snapshot();
+        crash.take_barriers();
 
-        // Tap the device to capture each barrier interval's pending
-        // writes, then enumerate every crash prefix of every interval.
-        let tap = Arc::new(Tap {
-            inner: Arc::clone(&crash),
-            script: Mutex::new(Vec::new()),
-        });
-        let tap_dyn: Arc<dyn BlockDevice> = Arc::clone(&tap) as Arc<dyn BlockDevice>;
-        let j = Journal::open(Arc::clone(&tap_dyn), JSTART, JBLOCKS).unwrap();
+        let j = Journal::open(Arc::clone(&crash_dyn), JSTART, JBLOCKS).unwrap();
         j.commit(&[(3, img(11)), (5, img(12))]).unwrap();
         j.checkpoint_all().unwrap();
 
-        // Flatten the intervals into one ordered write script; crash points
-        // between barriers are prefixes of each interval appended to all
-        // fully-applied earlier intervals.
-        let script = tap.script.lock().clone();
+        // Crash points between barriers are prefixes of each interval
+        // over all fully-applied earlier intervals.
+        let barriers = crash.take_barriers();
         let mut checked = 0;
-        let mut applied_base = base.clone();
-        for interval in &script {
-            for image in crash_images(&applied_base, interval, BLOCK_SIZE, CrashPolicy::Prefixes) {
-                // Recover this crash image on a scratch device.
-                let scratch = Arc::new(RamDisk::new(64));
-                scratch.restore(&image).unwrap();
-                let scratch_dyn: Arc<dyn BlockDevice> = scratch;
-                Journal::recover(&scratch_dyn, JSTART, JBLOCKS).unwrap();
-                let mut b3 = vec![0u8; BLOCK_SIZE];
-                let mut b5 = vec![0u8; BLOCK_SIZE];
-                scratch_dyn.read_block(3, &mut b3).unwrap();
-                scratch_dyn.read_block(5, &mut b5).unwrap();
-                let old = b3[0] == 1 && b5[0] == 2;
-                let new = b3[0] == 11 && b5[0] == 12;
-                assert!(
-                    old || new,
-                    "crash image {checked}: torn state b3={} b5={}",
-                    b3[0],
-                    b5[0]
-                );
-                checked += 1;
-            }
-            // Apply the full interval before moving to the next barrier.
-            for w in interval {
-                let off = w.blkno as usize * BLOCK_SIZE;
-                applied_base[off..off + BLOCK_SIZE].copy_from_slice(&w.data);
-            }
+        for (_, _, image) in barrier_images(&base, &barriers, BLOCK_SIZE, CrashPolicy::Prefixes) {
+            // Recover this crash image on a scratch device.
+            let scratch = Arc::new(RamDisk::new(64));
+            scratch.restore(&image).unwrap();
+            let scratch_dyn: Arc<dyn BlockDevice> = scratch;
+            Journal::recover(&scratch_dyn, JSTART, JBLOCKS).unwrap();
+            let mut b3 = vec![0u8; BLOCK_SIZE];
+            let mut b5 = vec![0u8; BLOCK_SIZE];
+            scratch_dyn.read_block(3, &mut b3).unwrap();
+            scratch_dyn.read_block(5, &mut b5).unwrap();
+            let old = b3[0] == 1 && b5[0] == 2;
+            let new = b3[0] == 11 && b5[0] == 12;
+            assert!(
+                old || new,
+                "crash image {checked}: torn state b3={} b5={}",
+                b3[0],
+                b5[0]
+            );
+            checked += 1;
         }
         assert!(checked >= 8, "checked {checked} crash points");
     }
@@ -2135,14 +2081,8 @@ mod tests {
 
         j.begin_op().stage(vec![(3, img(7))]).unwrap();
         // Crash before the durability point: the staged op vanishes.
-        let img_lost = {
-            let mut im = base.clone();
-            for w in crash.pending_writes() {
-                let off = w.blkno as usize * BLOCK_SIZE;
-                im[off..off + BLOCK_SIZE].copy_from_slice(&w.data);
-            }
-            im
-        };
+        let img_lost =
+            sk_core::spec::crash::apply_barriers(&base, &[crash.pending_writes()], BLOCK_SIZE);
         let scratch = Arc::new(RamDisk::new(64));
         scratch.restore(&img_lost).unwrap();
         let scratch_dyn: Arc<dyn BlockDevice> = scratch;

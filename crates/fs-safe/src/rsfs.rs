@@ -673,6 +673,11 @@ impl<'a> Txn<'a> {
         if di.mode != MODE_DIR {
             return Err(Errno::ENOTDIR);
         }
+        // The size comes off the disk: bound it by the format before it
+        // sizes an allocation.
+        if di.size > MAX_FILE_SIZE {
+            return Err(Errno::EUCLEAN);
+        }
         let mut content = vec![0u8; ovf::to_usize(di.size)?];
         self.read_range(dir, 0, &mut content)?;
         Ok(content)

@@ -645,6 +645,9 @@ pub struct PendingWrite {
 struct CrashInner {
     /// Writes accepted since the last flush, in arrival order.
     pending: Vec<PendingWrite>,
+    /// The pending set at entry to each `flush` call since the last
+    /// [`CrashDevice::take_barriers`], oldest first.
+    barriers: Vec<Vec<PendingWrite>>,
     /// Set when `crash()` is called: all IO fails with `EIO` until `recover`.
     crashed: bool,
     stats: DeviceStats,
@@ -658,6 +661,13 @@ struct CrashInner {
 /// [`CrashDevice::pending_writes`] exposes the buffered sequence so a checker
 /// can replay every prefix (and, with reordering enabled in the checker,
 /// every admissible subset) onto a snapshot of the backing store.
+///
+/// Every `flush` call also records its barrier interval: the pending set
+/// at the call's entry, before the crashed check, and also when the drain
+/// then fails. [`CrashDevice::take_barriers`] hands the log to a crash
+/// checker, which walks it with `sk_core::spec::crash::barrier_images`.
+/// The log holds every flushed write until it is taken, so this wrapper
+/// is for checkers, not for long-running workloads.
 pub struct CrashDevice<D> {
     inner: D,
     state: Mutex<CrashInner>,
@@ -670,6 +680,7 @@ impl<D: BlockDevice> CrashDevice<D> {
             inner,
             state: Mutex::new(CrashInner {
                 pending: Vec::new(),
+                barriers: Vec::new(),
                 crashed: false,
                 stats: DeviceStats::default(),
             }),
@@ -684,6 +695,13 @@ impl<D: BlockDevice> CrashDevice<D> {
     /// Returns the writes currently sitting in the volatile cache.
     pub fn pending_writes(&self) -> Vec<PendingWrite> {
         self.state.lock().pending.clone()
+    }
+
+    /// Returns the barrier log and clears it: one interval per `flush`
+    /// call since the last take, oldest first, each the writes pending at
+    /// that call's entry.
+    pub fn take_barriers(&self) -> Vec<Vec<PendingWrite>> {
+        std::mem::take(&mut self.state.lock().barriers)
     }
 
     /// Simulates power failure: the volatile cache is lost and the device
@@ -764,6 +782,8 @@ impl<D: BlockDevice> BlockDevice for CrashDevice<D> {
     fn flush(&self) -> KResult<()> {
         let drained = {
             let mut st = self.state.lock();
+            let interval = st.pending.clone();
+            st.barriers.push(interval);
             if st.crashed {
                 return Err(Errno::EIO);
             }
@@ -1036,6 +1056,47 @@ mod tests {
             d.inner().inner().read_block(i, &mut out).unwrap();
             assert_eq!(out[0], i as u8 + 1);
         }
+    }
+
+    #[test]
+    fn crash_device_logs_the_pending_set_at_every_flush_entry() {
+        let blknos = |iv: &[PendingWrite]| iv.iter().map(|w| w.blkno).collect::<Vec<_>>();
+        let faulty = FaultyDisk::new(RamDisk::new(8), DiskFaultConfig::default(), 1);
+        let d = CrashDevice::new(faulty);
+        let b = vec![1u8; BLOCK_SIZE];
+        d.write_block(0, &b).unwrap();
+        d.write_block(1, &b).unwrap();
+        d.flush().unwrap();
+        // An empty flush is still a barrier.
+        d.flush().unwrap();
+        // A drain that fails on its second home write records the full
+        // entry set, not the part that reached media.
+        d.write_block(2, &b).unwrap();
+        d.write_block(3, &b).unwrap();
+        d.write_block(4, &b).unwrap();
+        d.inner().fail_nth_write(1);
+        assert_eq!(d.flush(), Err(Errno::EIO));
+        // A flush on a crashed device records an empty interval.
+        d.crash();
+        assert_eq!(d.flush(), Err(Errno::EIO));
+        let log = d.take_barriers();
+        assert_eq!(
+            log.iter().map(|iv| blknos(iv)).collect::<Vec<_>>(),
+            vec![vec![0, 1], vec![], vec![2, 3, 4], vec![]]
+        );
+        assert_eq!(log[2][0].data, b);
+        // Taking clears the log.
+        assert!(d.take_barriers().is_empty());
+        d.recover();
+        d.write_block(5, &b).unwrap();
+        d.flush().unwrap();
+        assert_eq!(
+            d.take_barriers()
+                .iter()
+                .map(|iv| blknos(iv))
+                .collect::<Vec<_>>(),
+            vec![vec![5]]
+        );
     }
 
     #[test]

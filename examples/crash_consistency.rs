@@ -19,64 +19,28 @@
 
 use std::sync::Arc;
 
-use parking_lot::Mutex;
-use safer_kernel::core::spec::crash::{crash_images, CrashPolicy, CrashReport};
+use safer_kernel::core::spec::crash::{barrier_images, CrashPolicy, CrashReport};
 use safer_kernel::core::spec::Refines;
 use safer_kernel::fs_safe::rsfs::{JournalMode, Rsfs};
-use safer_kernel::ksim::block::{
-    BlockDevice, CrashDevice, DeviceStats, PendingWrite, RamDisk, BLOCK_SIZE,
-};
-use safer_kernel::ksim::errno::KResult;
+use safer_kernel::ksim::block::{BlockDevice, CrashDevice, RamDisk, BLOCK_SIZE};
 use safer_kernel::vfs::modular::FileSystem;
 
-/// A device tap: forwards to a crash device and snapshots the pending
-/// write set at every flush barrier, so the example can replay each
-/// barrier interval's prefixes afterwards.
-struct Tap {
-    inner: Arc<CrashDevice<Arc<RamDisk>>>,
-    intervals: Mutex<Vec<Vec<PendingWrite>>>,
-}
-
-impl BlockDevice for Tap {
-    fn num_blocks(&self) -> u64 {
-        self.inner.num_blocks()
-    }
-    fn block_size(&self) -> usize {
-        self.inner.block_size()
-    }
-    fn read_block(&self, blkno: u64, buf: &mut [u8]) -> KResult<()> {
-        self.inner.read_block(blkno, buf)
-    }
-    fn write_block(&self, blkno: u64, buf: &[u8]) -> KResult<()> {
-        self.inner.write_block(blkno, buf)
-    }
-    fn flush(&self) -> KResult<()> {
-        self.intervals.lock().push(self.inner.pending_writes());
-        self.inner.flush()
-    }
-    fn stats(&self) -> DeviceStats {
-        self.inner.stats()
-    }
-}
-
 fn main() {
-    // rsfs on a crash device over a RAM disk we can snapshot.
+    // rsfs on a crash device over a RAM disk we can snapshot. The crash
+    // device logs the pending write set at every flush barrier, so the
+    // example can replay each barrier interval's prefixes afterwards.
     let ram = Arc::new(RamDisk::new(2048));
     let crash = Arc::new(CrashDevice::new(Arc::clone(&ram)));
-    let tap = Arc::new(Tap {
-        inner: Arc::clone(&crash),
-        intervals: Mutex::new(Vec::new()),
-    });
-    let tap_dyn: Arc<dyn BlockDevice> = Arc::clone(&tap) as Arc<dyn BlockDevice>;
-    Rsfs::mkfs(&tap_dyn, 128, 64).expect("mkfs");
+    let dev: Arc<dyn BlockDevice> = Arc::clone(&crash) as Arc<dyn BlockDevice>;
+    Rsfs::mkfs(&dev, 128, 64).expect("mkfs");
 
-    let fs = Rsfs::mount(Arc::clone(&tap_dyn), JournalMode::PerOp).expect("mount");
+    let fs = Rsfs::mount(dev, JournalMode::PerOp).expect("mount");
     let root = fs.root_ino();
     let f = fs.create(root, "ledger").expect("create");
     fs.write(f, 0, b"balance=100").expect("write");
     let pre_model = fs.abstraction();
     let base_image = ram.snapshot();
-    tap.intervals.lock().clear(); // Only watch the operation under test.
+    crash.take_barriers(); // Only watch the operation under test.
     println!(
         "pre-crash state: {:?}",
         pre_model.files.keys().collect::<Vec<_>>()
@@ -89,30 +53,20 @@ fn main() {
     fs.write(f, 0, b"balance=042").expect("write");
     fs.sync().expect("sync");
     let post_model = fs.abstraction();
-    let intervals = tap.intervals.lock().clone();
-    let total_writes: usize = intervals.iter().map(|i| i.len()).sum();
+    let barriers = crash.take_barriers();
+    let total_writes: usize = barriers.iter().map(|i| i.len()).sum();
     println!(
         "the operation issued {} device writes across {} flush barriers",
         total_writes,
-        intervals.len()
+        barriers.len()
     );
 
     // Enumerate every crash point: each barrier interval contributes its
     // prefixes over the state left by fully-applied earlier intervals.
-    let mut applied = base_image.clone();
-    let mut all_images = Vec::new();
-    for interval in &intervals {
-        all_images.extend(crash_images(
-            &applied,
-            interval,
-            BLOCK_SIZE,
-            CrashPolicy::Prefixes,
-        ));
-        for w in interval {
-            let off = w.blkno as usize * BLOCK_SIZE;
-            applied[off..off + BLOCK_SIZE].copy_from_slice(&w.data);
-        }
-    }
+    let all_images: Vec<Vec<u8>> =
+        barrier_images(&base_image, &barriers, BLOCK_SIZE, CrashPolicy::Prefixes)
+            .map(|(_, _, img)| img)
+            .collect();
     println!("enumerating {} crash points...", all_images.len());
 
     let report = CrashReport::run(all_images, |i, img| {

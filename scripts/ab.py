@@ -22,17 +22,6 @@ tenths and the change median is worse by more than the base IQR), and
 `correct` and `failed` fields are checked; the script exits 1 if any
 run is incorrect or failed operations.
 
-A fixed pure-Python CPU loop (the canary) is timed before every run and
-reported per side, so a host that slowed down during the comparison shows
-in the output instead of in the ratios alone. Each pair also gets a
-canary ratio (change/base canary time), and every time or rate metric
-(unit `us`, `s` or `1/s`) gets a canary-normalised median ratio next to
-its raw one: each pair's ratio is divided by the pair's canary ratio for
-a time and multiplied by it for a rate, so a host that ran 5% slower
-during the change run no longer reads as a 5% regression. Counts and
-percentages are not CPU-speed figures and get no normalised ratio. The
-verdicts are computed from the raw values only.
-
 Examples:
 
     # the working tree against HEAD, ring-churn, 8 pairs of 20 s
@@ -50,7 +39,6 @@ import statistics
 import subprocess
 import sys
 import tempfile
-import time
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -90,24 +78,12 @@ def build(src, target):
     return os.path.join(target, "release", "kbench")
 
 
-def canary_ms():
-    """Wall time of a fixed CPU-bound loop, in milliseconds."""
-    start = time.perf_counter()
-    acc = 0
-    for i in range(1_000_000):
-        acc = (acc * 31 + i) & 0xFFFFFFFF
-    return (time.perf_counter() - start) * 1e3
-
-
 def run(binary, args, seed):
-    canary = canary_ms()
     out = subprocess.run(
         [binary, *args, "--seed", str(seed)],
         check=True, capture_output=True, text=True,
     ).stdout
-    report = json.loads(out.strip().splitlines()[-1])
-    report["canary_ms"] = canary
-    return report
+    return json.loads(out.strip().splitlines()[-1])
 
 
 def declared_metrics():
@@ -115,16 +91,6 @@ def declared_metrics():
     with open(os.path.join(REPO, "BENCHMARK.json")) as f:
         bench = json.load(f)
     return {m["name"]: m for m in bench.get("end_to_end", []) + bench.get("per_layer", [])}
-
-
-# How a metric scales with the host's CPU time: a time grows with it,
-# a rate shrinks with it, anything else is left alone.
-CANARY_POWER = {"us": 1, "s": 1, "1/s": -1}
-
-
-def canary_ratio(pair):
-    base, change = pair
-    return change["canary_ms"] / base["canary_ms"]
 
 
 def quartiles(xs):
@@ -153,7 +119,6 @@ def verdict(base, change, higher):
 
 def summarize(pairs, declared):
     names = [n for n in pairs[0][0]["metrics"] if n in pairs[0][1]["metrics"]]
-    canary = [canary_ratio(p) for p in pairs]
     rows = []
     for name in names:
         base = [b["metrics"][name]["value"] for b, _ in pairs]
@@ -161,9 +126,6 @@ def summarize(pairs, declared):
         ratios = [c / b for b, c in zip(base, change) if b]
         meta = declared.get(name, {})
         higher = meta.get("better", "lower") == "higher"
-        power = CANARY_POWER.get(meta.get("unit"))
-        norm = ([c / b / k ** power for b, c, k in zip(base, change, canary) if b]
-                if power is not None else [])
         wins = sum((c > b) if higher else (c < b) for b, c in zip(base, change))
         q1, q3 = quartiles(base)
         rows.append({
@@ -172,7 +134,6 @@ def summarize(pairs, declared):
             "base_median": statistics.median(base),
             "change_median": statistics.median(change),
             "median_ratio": statistics.median(ratios) if ratios else None,
-            "canary_norm_ratio": statistics.median(norm) if norm else None,
             "base_q1": q1,
             "base_q3": q3,
             "wins": wins,
@@ -221,37 +182,25 @@ def main():
         b, c = got["base"]["metrics"], got["change"]["metrics"]
         first = next(iter(b))
         print(f"seed {seed}: {first} base {b[first]['value']:.4g} "
-              f"change {c[first]['value']:.4g} "
-              f"(canary {got['base']['canary_ms']:.0f}/"
-              f"{got['change']['canary_ms']:.0f} ms, "
-              f"ratio {canary_ratio(pairs[-1]):.3f})", file=sys.stderr)
+              f"change {c[first]['value']:.4g}", file=sys.stderr)
 
     rows = summarize(pairs, declared_metrics())
     print(f"{opts.workload}: {opts.base} -> {opts.change or 'working tree'}, "
           f"{len(pairs)} pairs of {opts.seconds} s, trace {opts.trace}")
     print(f"{'metric':<22} {'better':<6} {'base':>12} {'change':>12} "
-          f"{'ratio':>7} {'norm':>7} {'base IQR':>25} {'wins':>6}  verdict")
+          f"{'ratio':>7} {'base IQR':>25} {'wins':>6}  verdict")
     for r in rows:
-        ratio, norm = (f"{r[k]:.3f}" if r[k] is not None else "-"
-                       for k in ("median_ratio", "canary_norm_ratio"))
+        ratio = f"{r['median_ratio']:.3f}" if r["median_ratio"] is not None else "-"
         iqr = f"[{r['base_q1']:.4g}, {r['base_q3']:.4g}]"
         print(f"{r['metric']:<22} {r['better']:<6} {r['base_median']:>12.4g} "
-              f"{r['change_median']:>12.4g} {ratio:>7} {norm:>7} {iqr:>25} "
+              f"{r['change_median']:>12.4g} {ratio:>7} {iqr:>25} "
               f"{r['wins']:>3}/{r['pairs']}  {r['verdict']}")
-    for side in ("base", "change"):
-        idx = 0 if side == "base" else 1
-        canary = statistics.median(p[idx]["canary_ms"] for p in pairs)
-        print(f"canary {side}: median {canary:.1f} ms")
-    print("canary ratio per pair (change/base): "
-          + " ".join(f"{canary_ratio(p):.3f}" for p in pairs))
     print(f"correct and 0 failed in every run: {'yes' if not bad else 'NO'}")
     for side, seed, correct, failed in bad:
         print(f"  {side} seed {seed}: correct={correct} failed={failed}")
     if opts.json:
         with open(opts.json, "w") as f:
-            json.dump({"pairs": [{"base": b, "change": c,
-                                  "canary_ratio": canary_ratio((b, c))}
-                                 for b, c in pairs],
+            json.dump({"pairs": [{"base": b, "change": c} for b, c in pairs],
                        "summary": rows}, f, indent=1)
     sys.exit(1 if bad else 0)
 

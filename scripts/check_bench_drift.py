@@ -47,6 +47,14 @@ depth-1024 row and the per-call path in every fresh report.  Fresh
 reports generated with `bench_report --ring-only` carry only this
 section; the hot-swap checks are skipped for them.
 
+Storage mode also gates the crash_consistency section exactly, since
+the crash enumeration is deterministic (a fixed schedule on a fixed
+device, exploded into every image each policy allows): every enumeration
+row's barrier_intervals, images_checked and recovery_failures, the
+disk_faults counters and the journal_abort outcome must equal the
+baseline field for field.  Ring-only fresh reports lack the section and
+skip this check.
+
 Usage: check_bench_drift.py <baseline.json> <fresh.json>... [tolerance]
 """
 
@@ -268,6 +276,53 @@ def check_ring(baseline_path, baseline, fresh_runs, tolerance):
     return failures
 
 
+# Exact per (fs, policy) row of the crash enumeration.
+CRASH_ROW_FIELDS = ("barrier_intervals", "images_checked", "recovery_failures")
+
+
+def crash_rows(section):
+    return {(row["fs"], row["policy"]): row for row in section.get("enumeration", [])}
+
+
+def check_crash(baseline_path, baseline, fresh_runs):
+    """Gates the crash_consistency section: equal to the baseline."""
+    base = baseline.get("crash_consistency")
+    if not base:
+        return [f"no crash_consistency section in baseline {baseline_path}"]
+    fresh_with = [(p, r["crash_consistency"]) for p, r in fresh_runs
+                  if "crash_consistency" in r]
+    if not fresh_with:
+        print("crash_consistency: no fresh report carries the section, skipped")
+        return []
+
+    base_rows = crash_rows(base)
+    failures = []
+    for path, now in fresh_with:
+        rows = crash_rows(now)
+        if rows.keys() != base_rows.keys():
+            failures.append(
+                f"crash_consistency: enumeration rows {sorted(rows)} differ from "
+                f"the baseline's {sorted(base_rows)} in {path}"
+            )
+        for key in sorted(base_rows.keys() & rows.keys()):
+            for field in CRASH_ROW_FIELDS:
+                was, got = base_rows[key].get(field), rows[key].get(field)
+                if got != was:
+                    failures.append(
+                        f"crash_consistency[{key[0]} {key[1]}]: {field} changed "
+                        f"{was} -> {got} in {path} (deterministic field)"
+                    )
+        for section in ("disk_faults", "journal_abort"):
+            if now.get(section) != base.get(section):
+                failures.append(
+                    f"crash_consistency: {section} changed {base.get(section)} -> "
+                    f"{now.get(section)} in {path} (deterministic section)"
+                )
+    print(f"crash_consistency: {len(fresh_with)} fresh report(s) checked "
+          f"against {len(base_rows)} baseline rows")
+    return failures
+
+
 def main():
     if len(sys.argv) < 3:
         sys.exit(__doc__)
@@ -299,6 +354,7 @@ def main():
         else:
             print("hot_swap: no fresh report carries the section, skipped")
             failures = []
+        failures += check_crash(baseline_path, baseline, fresh_runs)
         failures += check_ring(baseline_path, baseline, fresh_runs, 0.10)
     elif "soak" in baseline:
         failures = check_net(

@@ -3,67 +3,61 @@
 
 use std::sync::Arc;
 
-use parking_lot::Mutex;
 use proptest::prelude::*;
-use safer_kernel::core::spec::crash::{crash_images, judge_with_floor, CrashPolicy};
+use safer_kernel::core::spec::crash::{barrier_images, judge_with_floor, CrashPolicy};
 use safer_kernel::core::spec::Refines;
 use safer_kernel::fs_safe::journal::{Journal, RecoveryOutcome};
 use safer_kernel::fs_safe::rsfs::{JournalMode, Rsfs};
-use safer_kernel::ksim::block::{
-    BlockDevice, CrashDevice, DeviceStats, PendingWrite, RamDisk, BLOCK_SIZE,
-};
-use safer_kernel::ksim::errno::KResult;
+use safer_kernel::ksim::block::{BlockDevice, CrashDevice, RamDisk, BLOCK_SIZE};
 use safer_kernel::vfs::modular::FileSystem;
-
-/// Captures the pending-write set at each flush barrier.
-struct Tap {
-    inner: Arc<CrashDevice<Arc<RamDisk>>>,
-    intervals: Mutex<Vec<Vec<PendingWrite>>>,
-}
-
-impl BlockDevice for Tap {
-    fn num_blocks(&self) -> u64 {
-        self.inner.num_blocks()
-    }
-    fn block_size(&self) -> usize {
-        self.inner.block_size()
-    }
-    fn read_block(&self, blkno: u64, buf: &mut [u8]) -> KResult<()> {
-        self.inner.read_block(blkno, buf)
-    }
-    fn write_block(&self, blkno: u64, buf: &[u8]) -> KResult<()> {
-        self.inner.write_block(blkno, buf)
-    }
-    fn flush(&self) -> KResult<()> {
-        self.intervals.lock().push(self.inner.pending_writes());
-        self.inner.flush()
-    }
-    fn stats(&self) -> DeviceStats {
-        self.inner.stats()
-    }
-}
+use safer_kernel::vfs::spec::FsModel;
 
 struct Harness {
     ram: Arc<RamDisk>,
-    tap: Arc<Tap>,
+    crash: Arc<CrashDevice<Arc<RamDisk>>>,
     fs: Rsfs,
 }
 
 fn harness_with(mode: JournalMode) -> Harness {
     let ram = Arc::new(RamDisk::new(2048));
     let crash = Arc::new(CrashDevice::new(Arc::clone(&ram)));
-    let tap = Arc::new(Tap {
-        inner: crash,
-        intervals: Mutex::new(Vec::new()),
-    });
-    let tap_dyn: Arc<dyn BlockDevice> = Arc::clone(&tap) as Arc<dyn BlockDevice>;
-    Rsfs::mkfs(&tap_dyn, 128, 64).unwrap();
-    let fs = Rsfs::mount(tap_dyn, mode).unwrap();
-    Harness { ram, tap, fs }
+    let dev: Arc<dyn BlockDevice> = Arc::clone(&crash) as Arc<dyn BlockDevice>;
+    Rsfs::mkfs(&dev, 128, 64).unwrap();
+    let fs = Rsfs::mount(dev, mode).unwrap();
+    Harness { ram, crash, fs }
 }
 
 fn harness() -> Harness {
     harness_with(JournalMode::PerOp)
+}
+
+/// Recovers one crash image (journal replay runs inside mount), judges
+/// the recovered model with `judge`, and requires the image to be
+/// structurally sound; every complaint lands in `failures`, prefixed
+/// with `at`.
+fn recover_and_judge(
+    img: &[u8],
+    mode: JournalMode,
+    at: &str,
+    failures: &mut Vec<String>,
+    judge: impl FnOnce(&FsModel) -> Result<(), String>,
+) {
+    let scratch = Arc::new(RamDisk::new(2048));
+    scratch.restore(img).unwrap();
+    let scratch_dyn: Arc<dyn BlockDevice> = scratch;
+    match Rsfs::mount(Arc::clone(&scratch_dyn), mode) {
+        Ok(recovered) => {
+            if let Err(why) = judge(&recovered.abstraction()) {
+                failures.push(format!("{at}: {why}"));
+            }
+            match safer_kernel::fs_safe::fsck(&*scratch_dyn) {
+                Ok(r) if r.is_clean() => {}
+                Ok(r) => failures.push(format!("{at}: fsck findings {:?}", r.findings)),
+                Err(e) => failures.push(format!("{at}: fsck failed {e}")),
+            }
+        }
+        Err(e) => failures.push(format!("{at}: mount failed {e}")),
+    }
 }
 
 /// Snapshot → op → enumerate crash points → recover each → judge against
@@ -75,46 +69,23 @@ fn run_op_and_check(
 ) -> (usize, Vec<String>) {
     let pre = h.fs.abstraction();
     let base = h.ram.snapshot();
-    h.tap.intervals.lock().clear();
+    h.crash.take_barriers();
     op(&h.fs);
     let post = h.fs.abstraction();
-    let intervals = h.tap.intervals.lock().clone();
+    let barriers = h.crash.take_barriers();
 
     let mut checked = 0;
     let mut failures = Vec::new();
-    let mut applied = base;
-    for interval in &intervals {
-        for (i, img) in crash_images(&applied, interval, BLOCK_SIZE, policy)
-            .into_iter()
-            .enumerate()
-        {
-            checked += 1;
-            let scratch = Arc::new(RamDisk::new(2048));
-            scratch.restore(&img).unwrap();
-            let scratch_dyn: Arc<dyn BlockDevice> = scratch;
-            match Rsfs::mount(Arc::clone(&scratch_dyn), JournalMode::PerOp) {
-                Ok(recovered) => {
-                    let m = recovered.abstraction();
-                    if m != pre && m != post {
-                        failures.push(format!("crash image {i}: {m:?}"));
-                    }
-                    // The recovered image must also be structurally sound.
-                    match safer_kernel::fs_safe::fsck(&*scratch_dyn) {
-                        Ok(report) if report.is_clean() => {}
-                        Ok(report) => failures.push(format!(
-                            "crash image {i}: fsck findings {:?}",
-                            report.findings
-                        )),
-                        Err(e) => failures.push(format!("crash image {i}: fsck failed {e}")),
-                    }
-                }
-                Err(e) => failures.push(format!("crash image {i}: mount failed {e}")),
+    for (k, i, img) in barrier_images(&base, &barriers, BLOCK_SIZE, policy) {
+        checked += 1;
+        let at = format!("interval {k} image {i}");
+        recover_and_judge(&img, JournalMode::PerOp, &at, &mut failures, |m| {
+            if *m == pre || *m == post {
+                Ok(())
+            } else {
+                Err(format!("neither pre nor post: {m:?}"))
             }
-        }
-        for w in interval {
-            let off = w.blkno as usize * BLOCK_SIZE;
-            applied[off..off + BLOCK_SIZE].copy_from_slice(&w.data);
-        }
+        });
     }
     (checked, failures)
 }
@@ -271,7 +242,7 @@ fn multiblock_write_is_atomic_across_torn_sector_crashes() {
 fn rsfs_schedule_and_check(policy: CrashPolicy) -> (usize, Vec<String>) {
     let h = harness();
     let base = h.ram.snapshot();
-    h.tap.intervals.lock().clear();
+    h.crash.take_barriers();
     let root = h.fs.root_ino();
 
     let mut models = vec![h.fs.abstraction()];
@@ -282,44 +253,25 @@ fn rsfs_schedule_and_check(policy: CrashPolicy) -> (usize, Vec<String>) {
     // The checkpoint: homes written, tail advanced. Crashing inside it
     // must still recover the full history (the log replays idempotently).
     h.fs.sync().unwrap();
-    let intervals = h.tap.intervals.lock().clone();
+    let barriers = h.crash.take_barriers();
     assert!(
-        intervals.len() >= 3,
+        barriers.len() >= 3,
         "expected commit, commit, checkpoint barriers, got {}",
-        intervals.len()
+        barriers.len()
     );
 
     let mut checked = 0;
     let mut failures = Vec::new();
-    let mut applied = base;
-    for interval in &intervals {
-        for (i, img) in crash_images(&applied, interval, BLOCK_SIZE, policy)
-            .into_iter()
-            .enumerate()
-        {
-            checked += 1;
-            let scratch = Arc::new(RamDisk::new(2048));
-            scratch.restore(&img).unwrap();
-            let scratch_dyn: Arc<dyn BlockDevice> = scratch;
-            match Rsfs::mount(Arc::clone(&scratch_dyn), JournalMode::PerOp) {
-                Ok(recovered) => {
-                    let m = recovered.abstraction();
-                    if !models.contains(&m) {
-                        failures.push(format!("image {i}: off-history state {m:?}"));
-                    }
-                    match safer_kernel::fs_safe::fsck(&*scratch_dyn) {
-                        Ok(r) if r.is_clean() => {}
-                        Ok(r) => failures.push(format!("image {i}: fsck {:?}", r.findings)),
-                        Err(e) => failures.push(format!("image {i}: fsck failed {e}")),
-                    }
-                }
-                Err(e) => failures.push(format!("image {i}: mount failed {e}")),
+    for (k, i, img) in barrier_images(&base, &barriers, BLOCK_SIZE, policy) {
+        checked += 1;
+        let at = format!("interval {k} image {i}");
+        recover_and_judge(&img, JournalMode::PerOp, &at, &mut failures, |m| {
+            if models.contains(m) {
+                Ok(())
+            } else {
+                Err(format!("off-history state {m:?}"))
             }
-        }
-        for w in interval {
-            let off = w.blkno as usize * BLOCK_SIZE;
-            applied[off..off + BLOCK_SIZE].copy_from_slice(&w.data);
-        }
+        });
     }
     (checked, failures)
 }
@@ -347,7 +299,7 @@ fn rsfs_commit_then_checkpoint_schedule_torn() {
 fn async_fsync_schedule_and_check(policy: CrashPolicy) -> (usize, usize, Vec<String>) {
     let h = harness_with(JournalMode::Async);
     let base = h.ram.snapshot();
-    h.tap.intervals.lock().clear();
+    h.crash.take_barriers();
     let root = h.fs.root_ino();
 
     let mut models = vec![h.fs.abstraction()];
@@ -358,12 +310,14 @@ fn async_fsync_schedule_and_check(policy: CrashPolicy) -> (usize, usize, Vec<Str
     let watermark = models.len() - 1;
     // Staging alone must not have touched the device: the op path is
     // decoupled from durability.
+    let mut barriers = h.crash.take_barriers();
     assert!(
-        h.tap.intervals.lock().is_empty(),
+        barriers.is_empty(),
         "async staging reached the device before the durability point"
     );
     h.fs.fsync(f1).unwrap();
-    let n_fsync = h.tap.intervals.lock().len();
+    barriers.extend(h.crash.take_barriers());
+    let n_fsync = barriers.len();
     assert!(n_fsync > 0, "fsync must flush the running transaction");
 
     let f2 = h.fs.create(root, "f2").unwrap();
@@ -372,50 +326,24 @@ fn async_fsync_schedule_and_check(policy: CrashPolicy) -> (usize, usize, Vec<Str
     models.push(h.fs.abstraction());
     h.fs.sync().unwrap(); // commit the second running txn and checkpoint
 
-    let mut intervals = h.tap.intervals.lock().clone();
-    intervals.push(h.tap.inner.pending_writes());
+    barriers.extend(h.crash.take_barriers());
+    barriers.push(h.crash.pending_writes());
 
     let mut checked = 0;
     let mut post_fsync = 0;
     let mut failures = Vec::new();
-    let mut applied = base;
-    for (idx, interval) in intervals.iter().enumerate() {
+    for (k, i, img) in barrier_images(&base, &barriers, BLOCK_SIZE, policy) {
         // Intervals at or after the fsync barrier start from a base where
         // everything fsync flushed is durable: the watermark applies.
-        let floor = if idx >= n_fsync { watermark } else { 0 };
-        for (i, img) in crash_images(&applied, interval, BLOCK_SIZE, policy)
-            .into_iter()
-            .enumerate()
-        {
-            checked += 1;
-            if floor > 0 {
-                post_fsync += 1;
-            }
-            let scratch = Arc::new(RamDisk::new(2048));
-            scratch.restore(&img).unwrap();
-            let scratch_dyn: Arc<dyn BlockDevice> = scratch;
-            match Rsfs::mount(Arc::clone(&scratch_dyn), JournalMode::Async) {
-                Ok(recovered) => {
-                    let m = recovered.abstraction();
-                    if let Err(why) = judge_with_floor(&models, floor, &m) {
-                        failures.push(format!("interval {idx} image {i}: {why}"));
-                    }
-                    match safer_kernel::fs_safe::fsck(&*scratch_dyn) {
-                        Ok(r) if r.is_clean() => {}
-                        Ok(r) => failures
-                            .push(format!("interval {idx} image {i}: fsck {:?}", r.findings)),
-                        Err(e) => {
-                            failures.push(format!("interval {idx} image {i}: fsck failed {e}"))
-                        }
-                    }
-                }
-                Err(e) => failures.push(format!("interval {idx} image {i}: mount failed {e}")),
-            }
+        let floor = if k >= n_fsync { watermark } else { 0 };
+        checked += 1;
+        if floor > 0 {
+            post_fsync += 1;
         }
-        for w in interval {
-            let off = w.blkno as usize * BLOCK_SIZE;
-            applied[off..off + BLOCK_SIZE].copy_from_slice(&w.data);
-        }
+        let at = format!("interval {k} image {i}");
+        recover_and_judge(&img, JournalMode::Async, &at, &mut failures, |m| {
+            judge_with_floor(&models, floor, m)
+        });
     }
     (checked, post_fsync, failures)
 }
@@ -454,7 +382,7 @@ fn async_fsync_watermark_holds_across_torn_sector_crashes() {
 fn watermark_judge_catches_an_fsync_that_does_not_commit() {
     let h = harness_with(JournalMode::Async);
     let base = h.ram.snapshot();
-    h.tap.intervals.lock().clear();
+    h.crash.take_barriers();
     let root = h.fs.root_ino();
 
     let mut models = vec![h.fs.abstraction()];
@@ -468,8 +396,8 @@ fn watermark_judge_catches_an_fsync_that_does_not_commit() {
     // The revert under test: the durability point is claimed (watermark
     // recorded) but `commit_running` never runs — no journal record, no
     // barrier, nothing pending in the write cache.
-    assert!(h.tap.intervals.lock().is_empty());
-    assert!(h.tap.inner.pending_writes().is_empty());
+    assert!(h.crash.take_barriers().is_empty());
+    assert!(h.crash.pending_writes().is_empty());
 
     // Crash now: the device still holds the pre-staging image.
     let scratch = Arc::new(RamDisk::new(2048));
@@ -524,15 +452,11 @@ fn cext4_commit_then_sync_schedule_subsets_never_wedges() {
 
     let ram = Arc::new(RamDisk::new(2048));
     let crash = Arc::new(CrashDevice::new(Arc::clone(&ram)));
-    let tap = Arc::new(Tap {
-        inner: crash,
-        intervals: Mutex::new(Vec::new()),
-    });
-    let tap_dyn: Arc<dyn BlockDevice> = Arc::clone(&tap) as Arc<dyn BlockDevice>;
-    Cext4::mkfs(&tap_dyn, 128).unwrap();
+    let dev: Arc<dyn BlockDevice> = Arc::clone(&crash) as Arc<dyn BlockDevice>;
+    Cext4::mkfs(&dev, 128).unwrap();
     let base = ram.snapshot();
-    tap.intervals.lock().clear();
-    let fs = Cext4::mount(tap_dyn, LegacyCtx::new(), Arc::new(BugKnobs::none())).unwrap();
+    crash.take_barriers();
+    let fs = Cext4::mount(dev, LegacyCtx::new(), Arc::new(BugKnobs::none())).unwrap();
 
     // The legacy analogue of commit→checkpoint: mutate, sync, mutate, sync.
     let root = fs.root_ino();
@@ -548,25 +472,15 @@ fn cext4_commit_then_sync_schedule_subsets_never_wedges() {
         .ctx()
         .vp_take::<safer_kernel::vfs::inode::InodeNo>(p, "test");
     fs.sync_inner().unwrap();
-    let intervals = tap.intervals.lock().clone();
-    assert!(!intervals.is_empty());
+    let barriers = crash.take_barriers();
+    assert!(!barriers.is_empty());
 
     let mut checked = 0;
     let mut failures = Vec::new();
-    let mut applied = base;
-    for interval in &intervals {
-        for (i, img) in crash_images(&applied, interval, BLOCK_SIZE, CrashPolicy::Subsets)
-            .into_iter()
-            .enumerate()
-        {
-            checked += 1;
-            if let Err(why) = cext4_recovers_or_refuses(&img) {
-                failures.push(format!("image {i}: {why}"));
-            }
-        }
-        for w in interval {
-            let off = w.blkno as usize * BLOCK_SIZE;
-            applied[off..off + BLOCK_SIZE].copy_from_slice(&w.data);
+    for (k, i, img) in barrier_images(&base, &barriers, BLOCK_SIZE, CrashPolicy::Subsets) {
+        checked += 1;
+        if let Err(why) = cext4_recovers_or_refuses(&img) {
+            failures.push(format!("interval {k} image {i}: {why}"));
         }
     }
     assert!(checked >= 16, "checked {checked}");
@@ -630,7 +544,7 @@ proptest! {
     ) {
         let h = harness();
         let base = h.ram.snapshot();
-        h.tap.intervals.lock().clear();
+        h.crash.take_barriers();
         let root = h.fs.root_ino();
         let mut models = vec![h.fs.abstraction()];
         let mut live: Vec<String> = Vec::new();
@@ -655,33 +569,26 @@ proptest! {
         }
         // Deliberately NO sync(): every transaction sits committed but
         // un-checkpointed, so recovery must replay a multi-txn journal.
-        let mut intervals = h.tap.intervals.lock().clone();
-        intervals.push(h.tap.inner.pending_writes());
+        let mut barriers = h.crash.take_barriers();
+        barriers.push(h.crash.pending_writes());
 
         let mut checked = 0usize;
-        let mut applied = base;
         let mut last_img = None;
-        for interval in &intervals {
-            for img in crash_images(&applied, interval, BLOCK_SIZE, CrashPolicy::Prefixes) {
-                checked += 1;
-                let scratch = Arc::new(RamDisk::new(2048));
-                scratch.restore(&img).unwrap();
-                let scratch_dyn: Arc<dyn BlockDevice> = scratch;
-                let recovered = Rsfs::mount(Arc::clone(&scratch_dyn), JournalMode::PerOp)
-                    .expect("mount after crash");
-                let m = recovered.abstraction();
-                prop_assert!(
-                    models.contains(&m),
-                    "recovered state is not a prefix of the op history: {m:?}"
-                );
-                let report = safer_kernel::fs_safe::fsck(&*scratch_dyn).unwrap();
-                prop_assert!(report.is_clean(), "{:?}", report.findings);
-                last_img = Some(img);
-            }
-            for w in interval {
-                let off = w.blkno as usize * BLOCK_SIZE;
-                applied[off..off + BLOCK_SIZE].copy_from_slice(&w.data);
-            }
+        for (_, _, img) in barrier_images(&base, &barriers, BLOCK_SIZE, CrashPolicy::Prefixes) {
+            checked += 1;
+            let scratch = Arc::new(RamDisk::new(2048));
+            scratch.restore(&img).unwrap();
+            let scratch_dyn: Arc<dyn BlockDevice> = scratch;
+            let recovered = Rsfs::mount(Arc::clone(&scratch_dyn), JournalMode::PerOp)
+                .expect("mount after crash");
+            let m = recovered.abstraction();
+            prop_assert!(
+                models.contains(&m),
+                "recovered state is not a prefix of the op history: {m:?}"
+            );
+            let report = safer_kernel::fs_safe::fsck(&*scratch_dyn).unwrap();
+            prop_assert!(report.is_clean(), "{:?}", report.findings);
+            last_img = Some(img);
         }
         prop_assert!(checked >= plan.len(), "only {checked} crash points");
         // The final crash point (everything durable) must recover the
@@ -705,7 +612,8 @@ proptest! {
     ) {
         let h = harness_with(JournalMode::Async);
         let base = h.ram.snapshot();
-        h.tap.intervals.lock().clear();
+        h.crash.take_barriers();
+        let mut barriers = Vec::new();
         let root = h.fs.root_ino();
         let mut models = vec![h.fs.abstraction()];
         let mut live: Vec<String> = Vec::new();
@@ -735,38 +643,32 @@ proptest! {
                 // survive any later crash.
                 h.fs.fsync(root).unwrap();
                 watermark = models.len() - 1;
-                n_fsync = h.tap.intervals.lock().len();
+                barriers.extend(h.crash.take_barriers());
+                n_fsync = barriers.len();
             }
         }
         prop_assert!(n_fsync > 0, "fsync produced no flush barrier");
-        let mut intervals = h.tap.intervals.lock().clone();
-        intervals.push(h.tap.inner.pending_writes());
+        barriers.extend(h.crash.take_barriers());
+        barriers.push(h.crash.pending_writes());
 
         let mut checked = 0usize;
-        let mut applied = base;
-        for (idx, interval) in intervals.iter().enumerate() {
-            let floor = if idx >= n_fsync { watermark } else { 0 };
-            for img in crash_images(&applied, interval, BLOCK_SIZE, CrashPolicy::Prefixes) {
-                checked += 1;
-                let scratch = Arc::new(RamDisk::new(2048));
-                scratch.restore(&img).unwrap();
-                let scratch_dyn: Arc<dyn BlockDevice> = scratch;
-                let recovered = Rsfs::mount(Arc::clone(&scratch_dyn), JournalMode::Async)
-                    .expect("mount after crash");
-                let m = recovered.abstraction();
-                prop_assert!(
-                    judge_with_floor(&models, floor, &m).is_ok(),
-                    "interval {idx}: {:?} (plan {plan:?} fsync_at {fsync_at} n_fsync {n_fsync} interval_lens {:?})",
-                    judge_with_floor(&models, floor, &m),
-                    intervals.iter().map(|iv| iv.len()).collect::<Vec<_>>()
-                );
-                let report = safer_kernel::fs_safe::fsck(&*scratch_dyn).unwrap();
-                prop_assert!(report.is_clean(), "{:?}", report.findings);
-            }
-            for w in interval {
-                let off = w.blkno as usize * BLOCK_SIZE;
-                applied[off..off + BLOCK_SIZE].copy_from_slice(&w.data);
-            }
+        for (k, _, img) in barrier_images(&base, &barriers, BLOCK_SIZE, CrashPolicy::Prefixes) {
+            let floor = if k >= n_fsync { watermark } else { 0 };
+            checked += 1;
+            let scratch = Arc::new(RamDisk::new(2048));
+            scratch.restore(&img).unwrap();
+            let scratch_dyn: Arc<dyn BlockDevice> = scratch;
+            let recovered = Rsfs::mount(Arc::clone(&scratch_dyn), JournalMode::Async)
+                .expect("mount after crash");
+            let m = recovered.abstraction();
+            prop_assert!(
+                judge_with_floor(&models, floor, &m).is_ok(),
+                "interval {k}: {:?} (plan {plan:?} fsync_at {fsync_at} n_fsync {n_fsync} interval_lens {:?})",
+                judge_with_floor(&models, floor, &m),
+                barriers.iter().map(|iv| iv.len()).collect::<Vec<_>>()
+            );
+            let report = safer_kernel::fs_safe::fsck(&*scratch_dyn).unwrap();
+            prop_assert!(report.is_clean(), "{:?}", report.findings);
         }
         prop_assert!(checked > 0);
     }

@@ -25,18 +25,15 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use parking_lot::Mutex;
 use proptest::prelude::*;
 use safer_kernel::core::modularity::Registry;
-use safer_kernel::core::spec::crash::{crash_images, judge_with_floor, CrashPolicy};
+use safer_kernel::core::spec::crash::{barrier_images, judge_with_floor, CrashPolicy};
 use safer_kernel::core::spec::Refines;
 use safer_kernel::fs_safe::layout::MAX_FILE_SIZE;
 use safer_kernel::fs_safe::rsfs::{JournalMode, Rsfs};
 use safer_kernel::ksim::block::{
-    BlockDevice, CrashDevice, DeviceStats, DiskFaultConfig, FaultyDisk, PendingWrite, RamDisk,
-    BLOCK_SIZE,
+    BlockDevice, CrashDevice, DiskFaultConfig, FaultyDisk, RamDisk, BLOCK_SIZE,
 };
-use safer_kernel::ksim::errno::KResult;
 use safer_kernel::vfs::migrate::SwapGate;
 use safer_kernel::vfs::modular::{BatchOp, BatchReply, FileSystem};
 use safer_kernel::vfs::path::FS_INTERFACE;
@@ -644,35 +641,6 @@ fn slow_disk_backpressure_blocks_submitters() {
     let _ = ino;
 }
 
-/// Captures the pending-write set at each flush barrier (local copy of
-/// the crash_recovery harness tap).
-struct Tap {
-    inner: Arc<CrashDevice<Arc<RamDisk>>>,
-    intervals: Mutex<Vec<Vec<PendingWrite>>>,
-}
-
-impl BlockDevice for Tap {
-    fn num_blocks(&self) -> u64 {
-        self.inner.num_blocks()
-    }
-    fn block_size(&self) -> usize {
-        self.inner.block_size()
-    }
-    fn read_block(&self, blkno: u64, buf: &mut [u8]) -> KResult<()> {
-        self.inner.read_block(blkno, buf)
-    }
-    fn write_block(&self, blkno: u64, buf: &[u8]) -> KResult<()> {
-        self.inner.write_block(blkno, buf)
-    }
-    fn flush(&self) -> KResult<()> {
-        self.intervals.lock().push(self.inner.pending_writes());
-        self.inner.flush()
-    }
-    fn stats(&self) -> DeviceStats {
-        self.inner.stats()
-    }
-}
-
 /// CQE crash contract: drive the async_fsync watermark schedule entirely
 /// through ring SQEs (fsync as an SQE, acting as the durability point)
 /// and enumerate crash images. Every recovered state must be a valid
@@ -682,18 +650,14 @@ impl BlockDevice for Tap {
 fn ring_acked_ops_obey_the_fsync_watermark_contract() {
     let ram = Arc::new(RamDisk::new(2048));
     let crash = Arc::new(CrashDevice::new(Arc::clone(&ram)));
-    let tap = Arc::new(Tap {
-        inner: crash,
-        intervals: Mutex::new(Vec::new()),
-    });
-    let tap_dyn: Arc<dyn BlockDevice> = Arc::clone(&tap) as Arc<dyn BlockDevice>;
-    Rsfs::mkfs(&tap_dyn, 128, 64).unwrap();
-    let fs = Rsfs::mount(tap_dyn, JournalMode::Async).unwrap();
+    let dev: Arc<dyn BlockDevice> = Arc::clone(&crash) as Arc<dyn BlockDevice>;
+    Rsfs::mkfs(&dev, 128, 64).unwrap();
+    let fs = Rsfs::mount(dev, JournalMode::Async).unwrap();
     let root = fs.root_ino();
     let ring = Ring::new(fs.lock_registry(), 32);
 
     let base = ram.snapshot();
-    tap.intervals.lock().clear();
+    crash.take_barriers();
 
     // Chunked submission order: [create f1, write f1] — fsync SQE —
     // [create f2, write f2] — sync. Each drained batch chunk is one
@@ -724,8 +688,9 @@ fn ring_acked_ops_obey_the_fsync_watermark_contract() {
     ));
     models.push(fs.abstraction());
     let watermark = models.len() - 1;
+    let mut barriers = crash.take_barriers();
     assert!(
-        tap.intervals.lock().is_empty(),
+        barriers.is_empty(),
         "ring staging reached the device before the durability point"
     );
 
@@ -733,7 +698,8 @@ fn ring_acked_ops_obey_the_fsync_watermark_contract() {
     let tf = ring.submit(BatchOp::Fsync { ino: f1 }).unwrap();
     ring.drain_once(&fs);
     assert!(matches!(ring.wait(tf).reply, BatchReply::Fsync(Ok(()))));
-    let n_fsync = tap.intervals.lock().len();
+    barriers.extend(crash.take_barriers());
+    let n_fsync = barriers.len();
     assert!(n_fsync > 0, "fsync SQE must flush the running transaction");
 
     let t3 = ring
@@ -758,47 +724,36 @@ fn ring_acked_ops_obey_the_fsync_watermark_contract() {
     models.push(fs.abstraction());
     fs.sync().unwrap();
 
-    let mut intervals = tap.intervals.lock().clone();
-    intervals.push(tap.inner.pending_writes());
+    barriers.extend(crash.take_barriers());
+    barriers.push(crash.pending_writes());
 
     let mut checked = 0;
     let mut post_fsync = 0;
     let mut failures = Vec::new();
-    let mut applied = base;
-    for (idx, interval) in intervals.iter().enumerate() {
-        let floor = if idx >= n_fsync { watermark } else { 0 };
-        for (i, img) in crash_images(&applied, interval, BLOCK_SIZE, CrashPolicy::Subsets)
-            .into_iter()
-            .enumerate()
-        {
-            checked += 1;
-            if floor > 0 {
-                post_fsync += 1;
-            }
-            let scratch = Arc::new(RamDisk::new(2048));
-            scratch.restore(&img).unwrap();
-            let scratch_dyn: Arc<dyn BlockDevice> = scratch;
-            match Rsfs::mount(Arc::clone(&scratch_dyn), JournalMode::Async) {
-                Ok(recovered) => {
-                    let m = recovered.abstraction();
-                    if let Err(why) = judge_with_floor(&models, floor, &m) {
-                        failures.push(format!("interval {idx} image {i}: {why}"));
-                    }
-                    match safer_kernel::fs_safe::fsck(&*scratch_dyn) {
-                        Ok(r) if r.is_clean() => {}
-                        Ok(r) => failures
-                            .push(format!("interval {idx} image {i}: fsck {:?}", r.findings)),
-                        Err(e) => {
-                            failures.push(format!("interval {idx} image {i}: fsck failed {e}"))
-                        }
-                    }
-                }
-                Err(e) => failures.push(format!("interval {idx} image {i}: mount failed {e}")),
-            }
+    for (k, i, img) in barrier_images(&base, &barriers, BLOCK_SIZE, CrashPolicy::Subsets) {
+        let floor = if k >= n_fsync { watermark } else { 0 };
+        checked += 1;
+        if floor > 0 {
+            post_fsync += 1;
         }
-        for w in interval {
-            let off = w.blkno as usize * BLOCK_SIZE;
-            applied[off..off + BLOCK_SIZE].copy_from_slice(&w.data);
+        let scratch = Arc::new(RamDisk::new(2048));
+        scratch.restore(&img).unwrap();
+        let scratch_dyn: Arc<dyn BlockDevice> = scratch;
+        match Rsfs::mount(Arc::clone(&scratch_dyn), JournalMode::Async) {
+            Ok(recovered) => {
+                let m = recovered.abstraction();
+                if let Err(why) = judge_with_floor(&models, floor, &m) {
+                    failures.push(format!("interval {k} image {i}: {why}"));
+                }
+                match safer_kernel::fs_safe::fsck(&*scratch_dyn) {
+                    Ok(r) if r.is_clean() => {}
+                    Ok(r) => {
+                        failures.push(format!("interval {k} image {i}: fsck {:?}", r.findings))
+                    }
+                    Err(e) => failures.push(format!("interval {k} image {i}: fsck failed {e}")),
+                }
+            }
+            Err(e) => failures.push(format!("interval {k} image {i}: mount failed {e}")),
         }
     }
     assert!(checked >= 10, "checked {checked}");

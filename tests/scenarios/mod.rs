@@ -19,13 +19,14 @@ use super::*;
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use parking_lot::Mutex;
-use safer_kernel::core::spec::crash::{judge_with_floor, sample_crash_image, CrashPolicy};
+use safer_kernel::core::spec::crash::{
+    apply_barriers, judge_with_floor, sample_crash_image, CrashPolicy,
+};
 use safer_kernel::fs_safe::fsck;
 use safer_kernel::ksim::block::{
-    CrashDevice, DeviceStats, DiskFaultConfig, FaultyDisk, PendingWrite, BLOCK_SIZE,
+    CrashDevice, DiskFaultConfig, FaultyDisk, PendingWrite, BLOCK_SIZE,
 };
-use safer_kernel::ksim::errno::{Errno, KResult};
+use safer_kernel::ksim::errno::Errno;
 use safer_kernel::ksim::scenario::{subsys, ScenarioEngine};
 use safer_kernel::ksim::time::SimClock;
 use safer_kernel::netstack::fault::{FaultConfig as LinkFaultConfig, FaultyLink};
@@ -74,42 +75,6 @@ pub const CORPUS: &[(&str, ScenarioFn)] = &[
 /// as its own regression test (see the `pinned` module below) so reverts
 /// of the corresponding fix fail loudly.
 const SWEEP_SEEDS: &[u64] = &[1, 2, 3];
-
-/// Captures the pending-write set at each flush barrier (the same tap
-/// the crash_recovery suite uses, local to this corpus).
-struct Tap {
-    inner: Arc<CrashDevice<Arc<RamDisk>>>,
-    intervals: Mutex<Vec<Vec<PendingWrite>>>,
-}
-
-impl BlockDevice for Tap {
-    fn num_blocks(&self) -> u64 {
-        self.inner.num_blocks()
-    }
-    fn block_size(&self) -> usize {
-        self.inner.block_size()
-    }
-    fn read_block(&self, blkno: u64, buf: &mut [u8]) -> KResult<()> {
-        self.inner.read_block(blkno, buf)
-    }
-    fn write_block(&self, blkno: u64, buf: &[u8]) -> KResult<()> {
-        self.inner.write_block(blkno, buf)
-    }
-    fn flush(&self) -> KResult<()> {
-        self.intervals.lock().push(self.inner.pending_writes());
-        self.inner.flush()
-    }
-    fn stats(&self) -> DeviceStats {
-        self.inner.stats()
-    }
-}
-
-fn apply_interval(img: &mut [u8], interval: &[PendingWrite]) {
-    for w in interval {
-        let off = w.blkno as usize * BLOCK_SIZE;
-        img[off..off + BLOCK_SIZE].copy_from_slice(&w.data);
-    }
-}
 
 fn mount_image(
     img: &[u8],
@@ -267,15 +232,11 @@ fn crash_mid_checkpoint_retransmit_storm(engine: &Arc<ScenarioEngine>) -> Result
 
     let ram = Arc::new(RamDisk::new(2048));
     let crash_dev = Arc::new(CrashDevice::new(Arc::clone(&ram)));
-    let tap = Arc::new(Tap {
-        inner: crash_dev,
-        intervals: Mutex::new(Vec::new()),
-    });
-    let tap_dyn: Arc<dyn BlockDevice> = Arc::clone(&tap) as Arc<dyn BlockDevice>;
-    Rsfs::mkfs(&tap_dyn, 128, 64).map_err(|e| format!("mkfs: {e}"))?;
-    let fs = Rsfs::mount(tap_dyn, JournalMode::PerOp).map_err(|e| format!("mount: {e}"))?;
+    let dev: Arc<dyn BlockDevice> = Arc::clone(&crash_dev) as Arc<dyn BlockDevice>;
+    Rsfs::mkfs(&dev, 128, 64).map_err(|e| format!("mkfs: {e}"))?;
+    let fs = Rsfs::mount(dev, JournalMode::PerOp).map_err(|e| format!("mount: {e}"))?;
     let base = ram.snapshot();
-    tap.intervals.lock().clear();
+    crash_dev.take_barriers();
 
     let root = fs.root_ino();
     let mut models = vec![fs.abstraction()];
@@ -311,19 +272,15 @@ fn crash_mid_checkpoint_retransmit_storm(engine: &Arc<ScenarioEngine>) -> Result
     // The checkpoint the crash may land inside.
     fs.sync().map_err(|e| format!("sync: {e}"))?;
 
-    let intervals = tap.intervals.lock().clone();
-    if intervals.is_empty() {
+    let barriers = crash_dev.take_barriers();
+    if barriers.is_empty() {
         return Err("no flush barriers recorded".into());
     }
-    let idx = ws.gen_range(0..intervals.len());
-    ws.emit(format!("crash at interval {idx}/{}", intervals.len()));
-    let mut applied = base;
-    for interval in &intervals[..idx] {
-        apply_interval(&mut applied, interval);
-    }
+    let idx = ws.gen_range(0..barriers.len());
+    ws.emit(format!("crash at interval {idx}/{}", barriers.len()));
     let img = sample_crash_image(
-        &applied,
-        &intervals[idx],
+        &apply_barriers(&base, &barriers[..idx], BLOCK_SIZE),
+        &barriers[idx],
         BLOCK_SIZE,
         CrashPolicy::Torn,
         &crash_stream,
@@ -1721,6 +1678,21 @@ fn pinned_eio_mid_checkpoint_recovery_seed_3() {
         "eio_mid_checkpoint_recovery",
         eio_mid_checkpoint_recovery,
         3,
+    )
+    .unwrap();
+}
+
+/// PINNED: SCENARIO=corrupt_reads_remount_storm SCENARIO_SEED=153 — a
+/// read-time bit flip leaves an inode with a block pointer near 2^20;
+/// fsck's ownership walk used to index the one-block bitmap with it and
+/// panic. A pointer past `total_blocks` is now an unallocated-block
+/// finding.
+#[test]
+fn pinned_corrupt_reads_remount_storm_seed_153() {
+    run_one(
+        "corrupt_reads_remount_storm",
+        corrupt_reads_remount_storm,
+        153,
     )
     .unwrap();
 }

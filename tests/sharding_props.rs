@@ -9,14 +9,11 @@
 
 use std::sync::Arc;
 
-use parking_lot::Mutex;
 use proptest::prelude::*;
-use safer_kernel::core::spec::crash::{crash_images, judge_with_floor, CrashPolicy};
+use safer_kernel::core::spec::crash::{barrier_images, judge_with_floor, CrashPolicy};
 use safer_kernel::core::spec::Refines;
 use safer_kernel::fs_safe::rsfs::{JournalMode, Rsfs, DEFAULT_OP_STRIPES};
-use safer_kernel::ksim::block::{
-    BlockDevice, CrashDevice, DeviceStats, PendingWrite, RamDisk, BLOCK_SIZE,
-};
+use safer_kernel::ksim::block::{BlockDevice, CrashDevice, RamDisk, BLOCK_SIZE};
 use safer_kernel::ksim::errno::KResult;
 use safer_kernel::ksim::lock::{LockRegistry, Violation};
 use safer_kernel::vfs::modular::FileSystem;
@@ -112,35 +109,6 @@ fn mount_space(dev: Arc<dyn BlockDevice>, stripes: usize) -> Space {
     Space { fs, dirs }
 }
 
-/// Captures the pending-write set at each flush barrier (same tap the
-/// crash-recovery suite uses), so crash images can be cut per interval.
-struct Tap {
-    inner: Arc<CrashDevice<Arc<RamDisk>>>,
-    intervals: Mutex<Vec<Vec<PendingWrite>>>,
-}
-
-impl BlockDevice for Tap {
-    fn num_blocks(&self) -> u64 {
-        self.inner.num_blocks()
-    }
-    fn block_size(&self) -> usize {
-        self.inner.block_size()
-    }
-    fn read_block(&self, blkno: u64, buf: &mut [u8]) -> KResult<()> {
-        self.inner.read_block(blkno, buf)
-    }
-    fn write_block(&self, blkno: u64, buf: &[u8]) -> KResult<()> {
-        self.inner.write_block(blkno, buf)
-    }
-    fn flush(&self) -> KResult<()> {
-        self.intervals.lock().push(self.inner.pending_writes());
-        self.inner.flush()
-    }
-    fn stats(&self) -> DeviceStats {
-        self.inner.stats()
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
@@ -185,11 +153,10 @@ proptest! {
     ) {
         let ram = Arc::new(RamDisk::new(2048));
         let crash = Arc::new(CrashDevice::new(Arc::clone(&ram)));
-        let tap = Arc::new(Tap { inner: crash, intervals: Mutex::new(Vec::new()) });
-        let tap_dyn: Arc<dyn BlockDevice> = Arc::clone(&tap) as Arc<dyn BlockDevice>;
-        Rsfs::mkfs(&tap_dyn, 128, 64).unwrap();
+        let dev: Arc<dyn BlockDevice> = Arc::clone(&crash) as Arc<dyn BlockDevice>;
+        Rsfs::mkfs(&dev, 128, 64).unwrap();
         let fs = Rsfs::mount_with_stripes(
-            tap_dyn,
+            dev,
             JournalMode::Async,
             LockRegistry::new(),
             DEFAULT_OP_STRIPES,
@@ -201,7 +168,7 @@ proptest! {
         let space = Space { fs, dirs };
 
         let base = ram.snapshot();
-        tap.intervals.lock().clear();
+        crash.take_barriers();
 
         let mut models = vec![space.fs.abstraction()];
         for op in &prefix {
@@ -216,7 +183,8 @@ proptest! {
         models.push(space.fs.abstraction());
         let watermark = models.len() - 1;
         space.fs.fsync(anchor).unwrap();
-        let n_fsync = tap.intervals.lock().len();
+        let mut barriers = crash.take_barriers();
+        let n_fsync = barriers.len();
         prop_assert!(n_fsync > 0, "fsync must flush the running transaction");
 
         for op in &suffix {
@@ -225,28 +193,18 @@ proptest! {
         }
         space.fs.sync().unwrap();
 
-        let mut intervals = tap.intervals.lock().clone();
-        intervals.push(tap.inner.pending_writes());
+        barriers.extend(crash.take_barriers());
+        barriers.push(crash.pending_writes());
 
-        let mut applied = base;
-        for (idx, interval) in intervals.iter().enumerate() {
-            let floor = if idx >= n_fsync { watermark } else { 0 };
-            for (i, img) in crash_images(&applied, interval, BLOCK_SIZE, CrashPolicy::Prefixes)
-                .into_iter()
-                .enumerate()
-            {
-                let scratch = Arc::new(RamDisk::new(2048));
-                scratch.restore(&img).unwrap();
-                let recovered = Rsfs::mount(scratch, JournalMode::Async)
-                    .map_err(|e| TestCaseError::fail(format!("interval {idx} image {i}: mount {e:?}")))?;
-                let m = recovered.abstraction();
-                if let Err(why) = judge_with_floor(&models, floor, &m) {
-                    return Err(TestCaseError::fail(format!("interval {idx} image {i}: {why}")));
-                }
-            }
-            for w in interval {
-                let off = w.blkno as usize * BLOCK_SIZE;
-                applied[off..off + BLOCK_SIZE].copy_from_slice(&w.data);
+        for (k, i, img) in barrier_images(&base, &barriers, BLOCK_SIZE, CrashPolicy::Prefixes) {
+            let floor = if k >= n_fsync { watermark } else { 0 };
+            let scratch = Arc::new(RamDisk::new(2048));
+            scratch.restore(&img).unwrap();
+            let recovered = Rsfs::mount(scratch, JournalMode::Async)
+                .map_err(|e| TestCaseError::fail(format!("interval {k} image {i}: mount {e:?}")))?;
+            let m = recovered.abstraction();
+            if let Err(why) = judge_with_floor(&models, floor, &m) {
+                return Err(TestCaseError::fail(format!("interval {k} image {i}: {why}")));
             }
         }
     }
