@@ -45,11 +45,12 @@
 //! the superblock tail advances. Until then the journal is the only
 //! durable copy, so the log area is bounded and append forces a full
 //! drain when a record does not fit. Checkpoint is the **only** writer
-//! of journaled blocks' home locations: the file system keeps such
-//! blocks `Delay`-pinned in the buffer cache (writeback and eviction
-//! skip them) until the [`RetireHook`] reports their transactions
-//! retired, and a partial drain never writes an image home when a later
-//! pending transaction holds a newer one — the pair rules out home-write
+//! of journaled blocks' home locations: an operation hands in, with its
+//! images, the [`DelayPin`]s it took by publishing them into the buffer
+//! cache (writeback and eviction skip pinned buffers), its member and
+//! then its record own them, and retiring the record drops them; a
+//! partial drain never writes an image home when a later pending
+//! transaction holds a newer one — the pair rules out home-write
 //! reordering between checkpoint and cache writeback entirely. Committed
 //! records are immutable and shared (`Arc`): a checkpoint snapshots them
 //! by reference, so it holds `journal.space` for one refcount bump per
@@ -75,7 +76,7 @@
 //! system is remounted, at which point recovery replays exactly the
 //! durable prefix. An `EIO` during *checkpoint* is the benign
 //! counterpart: the drained transactions stay registered, the on-disk
-//! tail stays put, and no Delay pin is released, so the checkpoint
+//! tail stays put, and their records keep their pins, so the checkpoint
 //! simply retries.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
@@ -83,6 +84,7 @@ use std::sync::Arc;
 
 use parking_lot::{Condvar, Mutex};
 use sk_ksim::block::BlockDevice;
+use sk_ksim::buffer::DelayPin;
 use sk_ksim::errno::{Errno, KResult};
 use sk_ksim::lanehash::LaneHash;
 use sk_ksim::lock::{LockRegistry, TrackedMutex, TrackedMutexGuard};
@@ -261,9 +263,10 @@ pub enum RecoveryOutcome {
 }
 
 /// One committed, un-checkpointed transaction (a journal record).
-/// Immutable once registered and shared rather than copied: checkpoint
-/// and `committed_image` take references under `journal.space` and read
-/// the images after the lock drops.
+/// Immutable once registered and shared rather than copied: a checkpoint
+/// takes references under `journal.space` and reads the images after the
+/// lock drops. No one else takes a reference out of that lock, so the
+/// checkpoint that retires a record drops it, pins and all.
 struct TxnRecord {
     seq: u64,
     /// Offset of the descriptor in the log area.
@@ -272,13 +275,8 @@ struct TxnRecord {
     len: u64,
     /// Home images, kept in memory so checkpoint never re-reads the log.
     writes: Vec<(u64, Vec<u8>)>,
-    /// Home block numbers with *per-member* multiplicity — one entry per
-    /// block per operation merged into this record. The retire hook must
-    /// decrement exactly as many pins as op publishes took; the merged
-    /// `writes` (one entry per block) under-counts whenever two ops in
-    /// one batch touched the same block, which leaked pins and left
-    /// buffers `Delay`-flagged forever.
-    pins: Vec<u64>,
+    /// Every merged operation's pins, held until this record retires.
+    _pins: Vec<DelayPin>,
 }
 
 /// Log-area bookkeeping: where the next record goes and which records
@@ -294,21 +292,13 @@ struct Space {
     used: u64,
 }
 
-/// Callback invoked after checkpoint retires transactions: receives the
-/// home block numbers of every retired transaction, with multiplicity (a
-/// block appears once per *operation* that journaled it — matching the
-/// per-op publish pins, even when group commit merged several ops'
-/// images of one block into a single record entry). The
-/// file system hangs its `Delay`-pin release off this, so cache
-/// writeback stays out of the home-write path until the journal is done
-/// with a block.
-pub type RetireHook = Box<dyn Fn(&[u64]) + Send + Sync>;
-
 /// One member of the open transaction: an operation's block images,
-/// tagged with its join-order token.
+/// tagged with its join-order token, and the pins it published them
+/// under.
 struct Member {
     token: u64,
     writes: Vec<(u64, Vec<u8>)>,
+    pins: Vec<DelayPin>,
 }
 
 /// The open (merging) transaction plus the leader/follower machinery.
@@ -376,12 +366,13 @@ impl OpHandle<'_> {
     /// `flushed_upto` watermark to pass this token. Home writes are
     /// deferred to checkpoint. If the batch's record write fails, this
     /// returns that write's errno (`EIO`); a commit refused by an earlier
-    /// abort returns `EROFS`.
-    pub fn commit(mut self, writes: Vec<(u64, Vec<u8>)>) -> KResult<()> {
+    /// abort returns `EROFS`. Either way `pins` are released before the
+    /// error returns.
+    pub fn commit(mut self, writes: Vec<(u64, Vec<u8>)>, pins: Vec<DelayPin>) -> KResult<()> {
         self.done = true;
         let journal = self.journal;
         let mut g = journal.group.lock();
-        if journal.stage_op(&mut g, self.token, writes)? {
+        if journal.stage_op(&mut g, self.token, writes, pins)? {
             journal.stats.lock().commits += 1;
             journal.wait_flushed(&mut g, self.token + 1)?;
         }
@@ -398,11 +389,15 @@ impl OpHandle<'_> {
     /// Validation errors (`EINVAL`/`ENOSPC`) and a pre-existing abort
     /// (`EROFS`) still surface synchronously, so a failed stage leaves
     /// nothing in the running transaction.
-    pub fn stage(mut self, writes: Vec<(u64, Vec<u8>)>) -> KResult<()> {
+    ///
+    /// `pins` are the [`DelayPin`]s the caller took publishing `writes`:
+    /// the journal holds them until the checkpoint retires the record,
+    /// and releases them before any error reaches the caller.
+    pub fn stage(mut self, writes: Vec<(u64, Vec<u8>)>, pins: Vec<DelayPin>) -> KResult<()> {
         self.done = true;
         let journal = self.journal;
         let mut g = journal.group.lock();
-        if journal.stage_op(&mut g, self.token, writes)? {
+        if journal.stage_op(&mut g, self.token, writes, pins)? {
             journal.stats.lock().stages += 1;
         }
         if g.failed.is_some() {
@@ -436,9 +431,6 @@ pub struct Journal {
     /// one journal class allowed to be held across blocking device I/O:
     /// its whole purpose is to serialize the home-write drain.
     ckpt_lock: TrackedMutex<()>,
-    /// Held across the retire callback (which may take file-system
-    /// locks), so lockdep must see it: it orders against the fs classes.
-    retire_hook: TrackedMutex<Option<RetireHook>>,
     /// Leaf counters; never held across another acquisition, left raw.
     stats: Mutex<JournalStats>,
     registry: Arc<LockRegistry>,
@@ -526,7 +518,6 @@ impl Journal {
                 },
             ),
             ckpt_lock: TrackedMutex::new_io_ok(&registry, "journal.ckpt", ()),
-            retire_hook: TrackedMutex::new(&registry, "journal.retire", None),
             stats: Mutex::new(JournalStats::default()),
             registry,
         })
@@ -560,9 +551,11 @@ impl Journal {
     /// that already published its images into shared cache buffers uses
     /// this to roll those buffers back to the last durable content when
     /// the buffer is also pinned by an earlier transaction and so
-    /// cannot simply be invalidated.
+    /// cannot simply be invalidated. The one image is copied under
+    /// `journal.space`, so no record reference escapes the lock (see
+    /// `TxnRecord`); only failed commits call this.
     pub fn committed_image(&self, blkno: u64) -> Option<Vec<u8>> {
-        self.pending_records().iter().rev().find_map(|t| {
+        self.space.lock().txns.iter().rev().find_map(|t| {
             let (_, data) = t.writes.iter().rev().find(|(b, _)| *b == blkno)?;
             Some(data.clone())
         })
@@ -578,13 +571,6 @@ impl Journal {
     /// Usage counters.
     pub fn stats(&self) -> JournalStats {
         *self.stats.lock()
-    }
-
-    /// Installs the transaction-retire callback (see [`RetireHook`]).
-    /// Called with no journal locks the caller could conflict with; the
-    /// hook may take file-system locks and touch the buffer cache.
-    pub fn set_retire_hook(&self, hook: impl Fn(&[u64]) + Send + Sync + 'static) {
-        *self.retire_hook.lock() = Some(Box::new(hook));
     }
 
     fn write_jsb(dev: &Arc<dyn BlockDevice>, start: u64, seq: u64, tail_off: u64) -> KResult<()> {
@@ -617,7 +603,7 @@ impl Journal {
     /// transactions are a no-op. Oversize transactions return `ENOSPC` —
     /// the caller must keep operations within journal capacity.
     pub fn commit(&self, writes: &[(u64, Vec<u8>)]) -> KResult<()> {
-        self.begin_op().commit(writes.to_vec())
+        self.begin_op().commit(writes.to_vec(), Vec::new())
     }
 
     /// Validates one operation's writes, returning them deduplicated
@@ -652,7 +638,9 @@ impl Journal {
     /// releases its token. Returns `false` when there was nothing to
     /// stage. Validation errors (`EINVAL`/`ENOSPC`) and a pre-existing
     /// abort (`EROFS`) surface before publication, so a failed stage
-    /// leaves nothing in the running transaction. The only device IO on
+    /// leaves nothing in the running transaction; its pins are dropped
+    /// with the group lock released, so lockdep sees no `journal.group`
+    /// → `buffer.head` edge. The only device IO on
     /// this path is a log-pressure commit: once the staged payload could
     /// fill a whole record, the staging operation runs leader duty itself
     /// rather than letting the running transaction grow without bound
@@ -663,6 +651,7 @@ impl Journal {
         g: &mut TrackedMutexGuard<'_, GroupState>,
         token: u64,
         writes: Vec<(u64, Vec<u8>)>,
+        pins: Vec<DelayPin>,
     ) -> KResult<bool> {
         let staged = if g.failed.is_some() {
             Err(Errno::EROFS)
@@ -673,11 +662,16 @@ impl Journal {
         };
         g.open.remove(&token);
         self.group_cv.notify_all();
-        let Some(writes) = staged? else {
-            return Ok(false);
+        let Ok(Some(writes)) = staged else {
+            g.unlocked(|| drop(pins));
+            return staged.map(|_| false);
         };
         g.staged += writes.len();
-        g.members.push(Member { token, writes });
+        g.members.push(Member {
+            token,
+            writes,
+            pins,
+        });
         if self.staged_fraction(g) >= 1.0 && !g.leader_running {
             self.stats.lock().pressure_commits += 1;
             self.lead_or_wait(g);
@@ -796,11 +790,10 @@ impl Journal {
     fn lead(&self, g: &mut TrackedMutexGuard<'_, GroupState>) {
         loop {
             if g.failed.is_some() {
-                // Members that joined before the abort landed never reach
-                // the log; their waiters see the abort. The watermark
-                // stays frozen at the failed batch.
-                g.members.clear();
-                g.staged = 0;
+                // The failing leader emptied `members` before setting
+                // the abort, and `stage_op` refuses after it. The
+                // watermark stays frozen at the failed batch.
+                debug_assert!(g.members.is_empty());
                 return;
             }
             if g.members.is_empty() {
@@ -853,36 +846,16 @@ impl Journal {
             // left behind is at or above it.
             let next_remaining = g.members.first().map(|m| m.token).unwrap_or(u64::MAX);
             let upto = bound.min(next_remaining).min(g.next_token);
-            let pins: Vec<u64> = batch
-                .iter()
-                .flat_map(|m| m.writes.iter().map(|(b, _)| *b))
-                .collect();
-            g.staged -= pins.len();
-            let merged_len = seen.len();
+            g.staged -= batch.iter().map(|m| m.writes.len()).sum::<usize>();
             let seq = g.next_seq;
             g.next_seq += 1;
 
             // Image merge + device IO without the group lock: later
             // committers can keep joining the (new) open transaction
-            // meanwhile. Last image wins per block, stable home order;
-            // the members are owned here, so merging moves payloads
-            // instead of cloning them.
-            let res = g.unlocked(|| {
-                let mut merged: Vec<(u64, Vec<u8>)> = Vec::with_capacity(merged_len);
-                let mut index: HashMap<u64, usize> = HashMap::with_capacity(merged_len);
-                for m in batch {
-                    for (blkno, data) in m.writes {
-                        match index.get(&blkno) {
-                            Some(&at) => merged[at].1 = data,
-                            None => {
-                                index.insert(blkno, merged.len());
-                                merged.push((blkno, data));
-                            }
-                        }
-                    }
-                }
-                self.write_batch(seq, merged, pins)
-            });
+            // meanwhile. The members move, so merging moves payloads
+            // instead of cloning them, and a failed write drops the
+            // batch's pins before any waiter can see the abort.
+            let res = g.unlocked(|| self.write_batch(seq, batch, seen.len()));
             match res {
                 Ok(()) => {
                     self.stats.lock().batches += 1;
@@ -891,16 +864,44 @@ impl Journal {
                 // The sequence number is consumed and the log may hold a
                 // partial record at it; nothing appended after that gap
                 // would ever be replayed. Abort rather than lose an
-                // acknowledged later commit.
-                Err(errno) => g.failed = Some((upto, errno)),
+                // acknowledged later commit. Members staged behind the
+                // batch are lost too: drop them (pins and all) unlocked,
+                // and abort once none is left, so no waiter sees the
+                // abort while still pinned.
+                Err(errno) => {
+                    while !g.members.is_empty() {
+                        let lost = std::mem::take(&mut g.members);
+                        g.staged = 0;
+                        g.unlocked(|| drop(lost));
+                    }
+                    g.failed = Some((upto, errno));
+                }
             }
             self.group_cv.notify_all();
         }
     }
 
-    /// Appends one record (descriptor + payload + commit) to the log and
-    /// flushes. On success the transaction is registered for checkpoint.
-    fn write_batch(&self, seq: u64, writes: Vec<(u64, Vec<u8>)>, pins: Vec<u64>) -> KResult<()> {
+    /// Merges `batch` into one record (last image wins per block, stable
+    /// home order), appends it (descriptor + payload + commit) to the log
+    /// and flushes. On success the transaction is registered for
+    /// checkpoint and takes the members' pins with it; on failure they
+    /// drop on return.
+    fn write_batch(&self, seq: u64, batch: Vec<Member>, merged_len: usize) -> KResult<()> {
+        let mut writes: Vec<(u64, Vec<u8>)> = Vec::with_capacity(merged_len);
+        let mut index: HashMap<u64, usize> = HashMap::with_capacity(merged_len);
+        let mut pins: Vec<DelayPin> = Vec::new();
+        for m in batch {
+            pins.extend(m.pins);
+            for (blkno, data) in m.writes {
+                match index.get(&blkno) {
+                    Some(&at) => writes[at].1 = data,
+                    None => {
+                        index.insert(blkno, writes.len());
+                        writes.push((blkno, data));
+                    }
+                }
+            }
+        }
         let count = writes.len();
         let need = count as u64 + 2;
 
@@ -960,7 +961,7 @@ impl Journal {
             off,
             len: need,
             writes,
-            pins,
+            _pins: pins,
         });
         let mut sp = self.space.lock();
         sp.used += need;
@@ -1000,7 +1001,7 @@ impl Journal {
         // also journaled (its image is newer): writing our older image
         // could regress the home past what that transaction (or a
         // recovery replaying it) has already put there. The skip is
-        // race-free, not merely narrow: `Delay` pins keep journaled
+        // race-free, not merely narrow: records' pins keep journaled
         // blocks out of cache writeback until retire, so home writes
         // happen only on this `ckpt_lock`-serialized path, and a
         // transaction committing after our snapshot cannot reach its
@@ -1047,8 +1048,8 @@ impl Journal {
         self.dev.flush()?;
 
         // Checkpointers are serialized, so the drained records are still
-        // the queue's front; `drain` keeps their images alive, so none is
-        // freed under the lock.
+        // the queue's front; `drain` keeps them alive, so none is freed
+        // (and no pin released) under the lock.
         let mut sp = self.space.lock();
         for t in &drain {
             let popped = sp.txns.pop_front();
@@ -1068,13 +1069,14 @@ impl Journal {
         }
         drop(stats);
 
-        // Tell the file system which transactions' blocks retired, so it
-        // can release the Delay pins that kept writeback away.
-        if let Some(hook) = self.retire_hook.lock().as_ref() {
-            let retired: Vec<u64> = drain.iter().flat_map(|t| t.pins.iter().copied()).collect();
-            hook(&retired);
-        }
-        Ok(drain.len())
+        // Retiring is dropping: `drain` holds the last references to the
+        // retired records, so their pins release here, still under
+        // `ckpt_lock`. A failed commit's rollback relies on that: once
+        // its own `checkpoint_all` returns, every pin left on a buffer
+        // belongs to a record still pending.
+        let retired = drain.len();
+        drop(drain);
+        Ok(retired)
     }
 
     /// Scans the journal after an unclean shutdown and replays every
@@ -1144,6 +1146,7 @@ impl Journal {
 mod tests {
     use super::*;
     use sk_ksim::block::{CrashDevice, RamDisk, BLOCK_SIZE};
+    use sk_ksim::buffer::{BhFlag, BufferCache};
 
     const JSTART: u64 = 56;
     const JBLOCKS: u64 = 8;
@@ -1157,6 +1160,16 @@ mod tests {
 
     fn img(fill: u8) -> Vec<u8> {
         vec![fill; BLOCK_SIZE]
+    }
+
+    /// A cache to publish into: journal tests only need its pins.
+    fn pin_cache() -> BufferCache {
+        BufferCache::new(Arc::new(RamDisk::new(64)), 16)
+    }
+
+    /// Publishes `img(fill)` into `cache`'s buffer for `blkno`.
+    fn pin(cache: &BufferCache, blkno: u64, fill: u8) -> DelayPin {
+        cache.getblk(blkno).unwrap().publish(&img(fill))
     }
 
     #[test]
@@ -1360,8 +1373,10 @@ mod tests {
         Journal::format(&dev, JSTART, JBLOCKS).unwrap();
         let j = Journal::open(Arc::clone(&dev), JSTART, JBLOCKS).unwrap();
         // Stage: two members, three writes (block 3 twice).
-        j.begin_op().stage(vec![(3, img(1))]).unwrap();
-        j.begin_op().stage(vec![(3, img(2)), (4, img(2))]).unwrap();
+        j.begin_op().stage(vec![(3, img(1))], Vec::new()).unwrap();
+        j.begin_op()
+            .stage(vec![(3, img(2)), (4, img(2))], Vec::new())
+            .unwrap();
         assert_eq!(pressure_counters(&j), (3, 0));
         // Lead: one merged 2-block record of 4 log blocks.
         j.commit_running().unwrap();
@@ -1379,27 +1394,74 @@ mod tests {
         assert_eq!(pressure_counters(&j), (0, 3));
         // Abort: the second stage's pressure commit leads a batch of the
         // first member only (both exceed capacity 5); its record write
-        // fails and the member left behind is discarded.
-        j.begin_op().stage(vec![(7, img(5)), (8, img(5))]).unwrap();
+        // fails and the member left behind is discarded. Both members'
+        // pins are gone by the time the abort is visible.
+        let cache = pin_cache();
+        let pins = vec![pin(&cache, 7, 5), pin(&cache, 8, 5)];
+        j.begin_op()
+            .stage(vec![(7, img(5)), (8, img(5))], pins)
+            .unwrap();
         faulty.fail_nth_write(1);
         let four: Vec<(u64, Vec<u8>)> = (9..13).map(|b| (b, img(6))).collect();
-        assert_eq!(j.begin_op().stage(four), Err(Errno::EROFS));
+        let pins = (9..13).map(|b| pin(&cache, b, 6)).collect();
+        assert_eq!(j.begin_op().stage(four, pins), Err(Errno::EROFS));
         assert!(j.is_aborted());
+        assert_eq!(cache.pinned(), 0, "the abort dropped every member's pins");
+        // A stage the abort refuses drops its pins before returning.
+        let refused = vec![pin(&cache, 13, 7)];
+        assert_eq!(
+            j.begin_op().stage(vec![(13, img(7))], refused),
+            Err(Errno::EROFS)
+        );
+        assert_eq!(cache.pinned(), 0);
         assert_eq!(pressure_counters(&j), (0, 3));
     }
 
-    /// The retire hook reports every retired transaction's blocks, with
-    /// multiplicity, in drain order.
+    /// A record owns its operations' pins until the checkpoint retires
+    /// it: a partial drain releases only the drained record's, and a
+    /// buffer whose last pin drops is clean (its image is home).
     #[test]
-    fn retire_hook_reports_retired_blocks() {
-        let (_, j) = fresh();
-        let seen: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(Vec::new()));
-        let sink = Arc::clone(&seen);
-        j.set_retire_hook(move |blknos| sink.lock().extend_from_slice(blknos));
-        j.commit(&[(3, img(1))]).unwrap();
-        j.commit(&[(3, img(2)), (4, img(9))]).unwrap();
+    fn checkpoint_retirement_releases_the_records_pins() {
+        let (dev, j) = fresh();
+        let cache = pin_cache();
+        j.begin_op()
+            .commit(vec![(3, img(1))], vec![pin(&cache, 3, 1)])
+            .unwrap();
+        j.begin_op()
+            .commit(vec![(4, img(9))], vec![pin(&cache, 4, 9)])
+            .unwrap();
+        assert_eq!(cache.pinned(), 2);
+        assert_eq!(j.checkpoint(1).unwrap(), 1);
+        let (three, four) = (cache.peek(3).unwrap(), cache.peek(4).unwrap());
+        assert!(!three.is_pinned() && !three.test_flag(BhFlag::Dirty));
+        assert!(four.is_pinned() && four.test_flag(BhFlag::Dirty));
+        let mut out = vec![0u8; BLOCK_SIZE];
+        dev.read_block(3, &mut out).unwrap();
+        assert_eq!(out[0], 1, "retired only after its image reached home");
         j.checkpoint_all().unwrap();
-        assert_eq!(*seen.lock(), vec![3, 3, 4]);
+        assert_eq!(cache.pinned(), 0);
+        assert!(!four.test_flag(BhFlag::Dirty));
+    }
+
+    /// Group commit merges two operations' images of one block into one
+    /// record entry, but each operation's pin rides along: the buffer
+    /// stays pinned while the record is pending and is released, not
+    /// leaked, when it retires.
+    #[test]
+    fn merged_record_keeps_and_releases_every_members_pin() {
+        let (_, j) = fresh();
+        let cache = pin_cache();
+        j.begin_op()
+            .stage(vec![(3, img(1))], vec![pin(&cache, 3, 1)])
+            .unwrap();
+        j.begin_op()
+            .stage(vec![(3, img(2))], vec![pin(&cache, 3, 2)])
+            .unwrap();
+        j.commit_running().unwrap();
+        assert_eq!(j.stats().batches, 1, "one merged record");
+        assert!(cache.peek(3).unwrap().is_pinned());
+        j.checkpoint_all().unwrap();
+        assert_eq!(cache.pinned(), 0);
     }
 
     #[test]
@@ -1550,8 +1612,9 @@ mod tests {
     }
 
     /// The errno contract at the stage/wait seam: every committer whose
-    /// batch failed reports the batch's `EIO`; a committer joining after
-    /// the abort, and `commit_running`, report `EROFS`.
+    /// batch failed reports the batch's `EIO`, with its pins already
+    /// released; a committer joining after the abort, and
+    /// `commit_running`, report `EROFS`.
     #[test]
     fn committers_sharing_a_failed_batch_all_get_eio() {
         use sk_ksim::block::{DiskFaultConfig, FaultyDisk};
@@ -1563,19 +1626,25 @@ mod tests {
         let dev: Arc<dyn BlockDevice> = Arc::clone(&faulty) as Arc<dyn BlockDevice>;
         Journal::format(&dev, JSTART, JBLOCKS).unwrap();
         let j = Journal::open(Arc::clone(&dev), JSTART, JBLOCKS).unwrap();
+        let cache = pin_cache();
         let older = j.begin_op();
         let younger = j.begin_op();
         faulty.fail_nth_write(1);
         std::thread::scope(|s| {
-            let leader = s.spawn(|| younger.commit(vec![(4, img(2))]));
+            let leader = s.spawn(|| {
+                let res = younger.commit(vec![(4, img(2))], vec![pin(&cache, 4, 2)]);
+                (res, cache.peek(4).unwrap().is_pinned())
+            });
             // The younger committer stages and leads in one hold of the
             // group lock, then waits inside lead() for the older hand-in:
             // once its member is visible, the batch will hold both.
             while j.staged_ops() == 0 {
                 std::thread::yield_now();
             }
-            assert_eq!(older.commit(vec![(3, img(1))]), Err(Errno::EIO));
-            assert_eq!(leader.join().unwrap(), Err(Errno::EIO));
+            let res = older.commit(vec![(3, img(1))], vec![pin(&cache, 3, 1)]);
+            assert_eq!(res, Err(Errno::EIO));
+            assert!(!cache.peek(3).unwrap().is_pinned(), "released before EIO");
+            assert_eq!(leader.join().unwrap(), (Err(Errno::EIO), false));
         });
         assert!(j.is_aborted());
         assert_eq!(j.stats().batches, 0);
@@ -1599,7 +1668,9 @@ mod tests {
         // Capacity is 5 (JBLOCKS = 8): four staged blocks plus the
         // commit's fifth fill the record.
         for i in 0..4u64 {
-            j.begin_op().stage(vec![(3 + i, img(1))]).unwrap();
+            j.begin_op()
+                .stage(vec![(3 + i, img(1))], Vec::new())
+                .unwrap();
         }
         faulty.fail_nth_write(1);
         assert_eq!(j.commit(&[(7, img(2))]), Err(Errno::EIO));
@@ -1619,7 +1690,9 @@ mod tests {
         let j = Journal::open(Arc::clone(&dev), 1024, 1024).unwrap();
         assert_eq!(j.capacity(), desc_slots(BLOCK_SIZE));
         for b in 0..600u64 {
-            j.begin_op().stage(vec![(b, img(b as u8))]).unwrap();
+            j.begin_op()
+                .stage(vec![(b, img(b as u8))], Vec::new())
+                .unwrap();
         }
         j.commit_running().unwrap();
         drop(j);
@@ -1650,7 +1723,7 @@ mod tests {
     }
 
     /// An `EIO` during checkpoint's home writes must not retire the
-    /// transaction, advance the tail, or fire the retire hook — the
+    /// transaction, advance the tail, or release its pins — the
     /// checkpoint is simply retryable, and a crash in between still
     /// replays from the unchanged tail.
     #[test]
@@ -1665,14 +1738,14 @@ mod tests {
         let dev: Arc<dyn BlockDevice> = Arc::clone(&faulty) as Arc<dyn BlockDevice>;
         Journal::format(&dev, JSTART, JBLOCKS).unwrap();
         let j = Journal::open(Arc::clone(&dev), JSTART, JBLOCKS).unwrap();
-        let retired: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(Vec::new()));
-        let sink = Arc::clone(&retired);
-        j.set_retire_hook(move |blknos| sink.lock().extend_from_slice(blknos));
-        j.commit(&[(3, img(7))]).unwrap();
+        let cache = pin_cache();
+        j.begin_op()
+            .commit(vec![(3, img(7))], vec![pin(&cache, 3, 7)])
+            .unwrap();
         faulty.fail_nth_write(0); // the home write of block 3
         assert_eq!(j.checkpoint_all(), Err(Errno::EIO));
         assert_eq!(j.pending_checkpoints(), 1, "txn not retired");
-        assert!(retired.lock().is_empty(), "retire hook not fired");
+        assert_eq!(cache.pinned(), 1, "an EIO checkpoint releases no pin");
         assert!(!j.is_aborted(), "checkpoint EIO is retryable, not fatal");
         // A crash now still replays from the unchanged on-disk tail.
         let check = Arc::new(RamDisk::new(64));
@@ -1684,7 +1757,7 @@ mod tests {
         );
         // And the live journal's retry completes the drain.
         assert_eq!(j.checkpoint_all().unwrap(), 1);
-        assert_eq!(*retired.lock(), vec![3]);
+        assert_eq!(cache.pinned(), 0, "the retry releases them all");
         let mut out = vec![0u8; BLOCK_SIZE];
         ram.read_block(3, &mut out).unwrap();
         assert_eq!(out[0], 7);
@@ -1974,8 +2047,8 @@ mod tests {
     #[test]
     fn staged_ops_are_not_durable_until_commit_running() {
         let (dev, j) = fresh();
-        j.begin_op().stage(vec![(3, img(7))]).unwrap();
-        j.begin_op().stage(vec![(4, img(8))]).unwrap();
+        j.begin_op().stage(vec![(3, img(7))], Vec::new()).unwrap();
+        j.begin_op().stage(vec![(4, img(8))], Vec::new()).unwrap();
         assert_eq!(j.staged_ops(), 2);
         assert_eq!(j.stats().stages, 2);
         assert_eq!(j.stats().batches, 0, "no record written while staged");
@@ -2003,7 +2076,7 @@ mod tests {
     #[test]
     fn staged_and_sync_members_merge_into_one_batch() {
         let (_, j) = fresh();
-        j.begin_op().stage(vec![(3, img(1))]).unwrap();
+        j.begin_op().stage(vec![(3, img(1))], Vec::new()).unwrap();
         // A sync commit arriving while ops are staged leads the batch and
         // carries the staged members with it — exactly the fsync path.
         j.commit(&[(4, img(2))]).unwrap();
@@ -2019,14 +2092,16 @@ mod tests {
         // commit_running call.
         let (_, j) = fresh();
         for i in 0..5u64 {
-            j.begin_op().stage(vec![(3 + i, img(i as u8))]).unwrap();
+            j.begin_op()
+                .stage(vec![(3 + i, img(i as u8))], Vec::new())
+                .unwrap();
         }
         assert_eq!(j.staged_ops(), 0, "pressure drained the running txn");
         assert_eq!(j.stats().pressure_commits, 1);
         assert!(j.stats().batches >= 1);
         // Validation failures surface at stage time, before publication.
         assert_eq!(
-            j.begin_op().stage(vec![(1, vec![0u8; 10])]),
+            j.begin_op().stage(vec![(1, vec![0u8; 10])], Vec::new()),
             Err(Errno::EINVAL)
         );
         assert_eq!(j.staged_ops(), 0);
@@ -2039,7 +2114,9 @@ mod tests {
         assert_eq!(j.log_pressure(), 0.0);
         // Each staged block adds exactly 1/capacity to the reading.
         for i in 0..4u64 {
-            j.begin_op().stage(vec![(3 + i, img(i as u8))]).unwrap();
+            j.begin_op()
+                .stage(vec![(3 + i, img(i as u8))], Vec::new())
+                .unwrap();
             let want = (i + 1) as f32 / 5.0;
             assert!(
                 (j.log_pressure() - want).abs() < 1e-6,
@@ -2054,7 +2131,7 @@ mod tests {
         // the same expression the stage path checks, so the pressure
         // commit fires on exactly the stage that would have pushed the
         // reading to its ceiling.
-        j.begin_op().stage(vec![(7, img(9))]).unwrap();
+        j.begin_op().stage(vec![(7, img(9))], Vec::new()).unwrap();
         assert_eq!(j.stats().pressure_commits, 1);
         assert_eq!(j.staged_ops(), 0);
         // Post-commit the reading is the area term: one record of
@@ -2079,7 +2156,7 @@ mod tests {
         let dev: Arc<dyn BlockDevice> = Arc::clone(&crash) as _;
         let j = Journal::open(Arc::clone(&dev), JSTART, JBLOCKS).unwrap();
 
-        j.begin_op().stage(vec![(3, img(7))]).unwrap();
+        j.begin_op().stage(vec![(3, img(7))], Vec::new()).unwrap();
         // Crash before the durability point: the staged op vanishes.
         let img_lost =
             sk_core::spec::crash::apply_barriers(&base, &[crash.pending_writes()], BLOCK_SIZE);

@@ -19,7 +19,7 @@ use parking_lot::Mutex;
 use sk_core::spec::Refines;
 use sk_core::typesafe::ovf;
 use sk_ksim::block::BlockDevice;
-use sk_ksim::buffer::{BhFlag, BufferCache};
+use sk_ksim::buffer::{BufferCache, DelayPin};
 use sk_ksim::errno::{Errno, KResult};
 use sk_ksim::lock::{LockRegistry, TrackedMutex, TrackedMutexGuard};
 use sk_vfs::inode::{Attr, FileType, Inode, InodeNo};
@@ -112,14 +112,6 @@ pub struct Rsfs {
     /// for table blocks and each journaled whole-block image contains
     /// exactly the slot updates of smaller-token transactions.
     inopub_locks: Vec<TrackedMutex<()>>,
-    /// Pin counts for cache buffers with journaled images the checkpoint
-    /// has not yet retired (`BhFlag::Delay` holders). One pin per
-    /// (transaction, block), taken at publish and released by the
-    /// journal's retire hook, so cache writeback and eviction stay away
-    /// from a block's home location for as long as the journal owns it —
-    /// checkpoint is the sole home writer. Shared (`Arc`) with the hook
-    /// closure installed at mount.
-    delay_pins: Arc<Mutex<HashMap<u64, usize>>>,
     lock_registry: Arc<LockRegistry>,
     icache: Vec<Mutex<HashMap<InodeNo, Arc<Inode>>>>,
     op_counter: AtomicU64,
@@ -333,16 +325,16 @@ impl<'a> Txn<'a> {
     /// With a journal, this is the jbd2-style group-commit path:
     /// 1. still holding the op lock, join the open transaction (fixing
     ///    this operation's place in the global commit order) and publish
-    ///    the new images into the buffer cache, `Dirty | Delay` — visible
-    ///    to readers, pinned against writeback;
-    /// 2. release the op lock and hand the images to the journal, where
-    ///    concurrent committers merge into one batch with one barrier.
+    ///    the new images into the buffer cache, each under a [`DelayPin`]
+    ///    — visible to readers, pinned against writeback;
+    /// 2. release the op lock and hand the images and their pins to the
+    ///    journal, where concurrent committers merge into one batch with
+    ///    one barrier.
     ///
-    /// The pins stay until the deferred *checkpoint* retires the
-    /// transaction (the journal's retire hook drops them): the home
-    /// locations are written exclusively by the checkpoint, so cache
-    /// writeback can never race it into regressing a home block past a
-    /// newer committed image.
+    /// The journal holds the pins until the deferred *checkpoint* retires
+    /// the transaction: the home locations are written exclusively by the
+    /// checkpoint, so cache writeback can never race it into regressing a
+    /// home block past a newer committed image.
     ///
     /// Without a journal the images just dirty the cache.
     fn commit(mut self) -> KResult<()> {
@@ -397,64 +389,46 @@ impl<'a> Txn<'a> {
         list.extend(table_imgs);
         let handle = journal.begin_op();
         // Publish to the cache under the stripe/alloc/publish locks,
-        // pinned with Delay: readers see the new state immediately,
-        // writeback cannot leak it to home locations before the journal
-        // record is durable.
-        let mut pinned: Vec<u64> = Vec::with_capacity(list.len());
-        let mut apply_err = None;
-        {
-            let mut pins = self.fs.delay_pins.lock();
-            for (blkno, data) in &list {
-                match self.fs.cache.getblk(*blkno) {
-                    Ok(buf) => {
-                        buf.write(|d| d.copy_from_slice(data));
-                        buf.set_flag(BhFlag::Delay);
-                        *pins.entry(*blkno).or_insert(0) += 1;
-                        pinned.push(*blkno);
-                    }
-                    Err(e) => {
-                        apply_err = Some(e);
-                        break;
-                    }
-                }
-            }
-        }
+        // pinned: readers see the new state immediately, writeback cannot
+        // leak it to home locations before the journal record is durable.
+        let mut pins: Vec<DelayPin> = Vec::with_capacity(list.len());
+        let published = list.iter().try_for_each(|(blkno, data)| {
+            pins.push(self.fs.cache.getblk(*blkno)?.publish(data));
+            Ok(())
+        });
+        let pinned: Vec<u64> = list[..pins.len()].iter().map(|(b, _)| *b).collect();
         // Staging is published; later operations may now take the
         // locks, observe this state, and race into the same commit
         // batch.
         drop(pub_guards);
         self.stripes.clear();
         self.alloc_guard = None;
-        let res = match apply_err {
-            Some(e) => {
+        let res = match published {
+            Err(e) => {
                 drop(handle); // abort the join so the leader can proceed
+                drop(pins);
                 Err(e)
             }
             // PerOp waits for the batch barrier; Async enters the running
             // transaction and returns — durability comes from the timer
             // commit, log pressure, or an fsync.
-            None if self.fs.mode == JournalMode::Async => handle.stage(list),
-            None => handle.commit(list),
+            Ok(()) if self.fs.mode == JournalMode::Async => handle.stage(list, pins),
+            Ok(()) => handle.commit(list, pins),
         };
         if let Err(e) = res {
-            // The transaction is not durable and must not be observable
-            // — and must never reach its home locations. Discard our own
-            // pins (clearing Dirty so writeback cannot push the failed
-            // images), drain what *is* durable to the homes, then drop
-            // our blocks from the cache so reads refetch committed
-            // device state.
-            release_pins(&self.fs.delay_pins, &self.fs.cache, &pinned);
+            // The transaction is not durable and must neither be observed
+            // nor reach its homes. Our pins dropped before the errno
+            // returned, and a buffer's last drop leaves it clean, so
+            // writeback cannot push our images. Drain what *is* durable,
+            // then drop our blocks so reads refetch committed state.
             let _ = journal.checkpoint_all();
-            // A block still Delay-pinned after our unpin is shared with
-            // an earlier committed-but-uncheckpointed transaction; the
-            // publish above clobbered its buffer with our failed image,
-            // and `invalidate_blocks` below deliberately spares pinned
-            // buffers, so that image would stay visible to readers.
-            // Roll the buffer content back to the journal's newest
-            // committed image for the block.
+            // A block still pinned is shared with an earlier committed,
+            // uncheckpointed transaction, so `invalidate_blocks` spares
+            // it and our failed image would stay visible: roll it back to
+            // the journal's newest committed image.
             for blkno in &pinned {
                 if let Some(buf) = self.fs.cache.peek(*blkno) {
-                    if buf.test_flag(BhFlag::Delay) {
+                    if buf.is_pinned() {
                         if let Some(img) = journal.committed_image(*blkno) {
                             buf.write(|d| d.copy_from_slice(&img));
                         }
@@ -464,8 +438,6 @@ impl<'a> Txn<'a> {
             self.fs.cache.invalidate_blocks(&pinned);
             return Err(e);
         }
-        // Success: the Delay pins stay until the checkpoint retires the
-        // batch — the journal's retire hook releases them.
         Ok(())
     }
 
@@ -841,31 +813,6 @@ fn first_clear_bit(bits: &[u8], first: u64, limit: u64) -> KResult<u64> {
     Err(Errno::ENOSPC)
 }
 
-/// Drops one Delay pin per listed block; a buffer whose last pin drops
-/// loses `Delay` and `Dirty` together. Checkpoint retirement calls this
-/// because the checkpoint just wrote the buffer's image home, and
-/// failed-commit cleanup because the image is the failed transaction's
-/// and must never be written back.
-fn release_pins(pins: &Mutex<HashMap<u64, usize>>, cache: &BufferCache, blknos: &[u64]) {
-    if blknos.is_empty() {
-        return;
-    }
-    let mut pins = pins.lock();
-    for blkno in blknos {
-        let Some(count) = pins.get_mut(blkno) else {
-            continue;
-        };
-        *count -= 1;
-        if *count == 0 {
-            pins.remove(blkno);
-            if let Some(buf) = cache.peek(*blkno) {
-                buf.clear_flag(BhFlag::Delay);
-                buf.clear_flag(BhFlag::Dirty);
-            }
-        }
-    }
-}
-
 impl Rsfs {
     /// Formats `dev`: superblock, bitmaps, inode table, root directory,
     /// and journal region.
@@ -964,17 +911,6 @@ impl Rsfs {
             8,
             Arc::clone(&lock_registry),
         ));
-        let delay_pins: Arc<Mutex<HashMap<u64, usize>>> = Arc::new(Mutex::new(HashMap::new()));
-        if let Some(j) = &journal {
-            // Checkpoint retirement releases the Delay pins taken at
-            // publish: a buffer whose last pin drops is clean — the
-            // checkpoint just wrote its exact image home (had a newer
-            // committed or in-flight image existed, its pin would still
-            // be held and the checkpoint would have skipped the block).
-            let pins = Arc::clone(&delay_pins);
-            let cache_for_hook = Arc::clone(&cache);
-            j.set_retire_hook(move |blknos| release_pins(&pins, &cache_for_hook, blknos));
-        }
         let table_blocks = (sb.inode_count as usize).div_ceil(INODES_PER_BLOCK);
         Ok(Rsfs {
             cache,
@@ -990,7 +926,6 @@ impl Rsfs {
                     TrackedMutex::new_ranked_io_ok(&lock_registry, "rsfs.inopub", i as u64, ())
                 })
                 .collect(),
-            delay_pins,
             lock_registry,
             icache: (0..ICACHE_SHARDS)
                 .map(|_| Mutex::new(HashMap::new()))
@@ -1414,14 +1349,13 @@ impl FileSystem for Rsfs {
 
     fn quiesce_for_handoff(&self) -> KResult<()> {
         // `sync` commits the running transaction and drains every
-        // deferred checkpoint; the checkpoint retire hook releases
-        // delayed-durability pins as their transactions reach home
-        // locations. A pin still held afterwards means some dirty state
-        // is pinned in the cache with this generation as its only
-        // writer — handing off now would strand it, so refuse and let
-        // the migrator abort with the workload intact.
+        // deferred checkpoint; retiring a record drops its pins as its
+        // images reach home locations. A pin still held afterwards means
+        // some dirty state is pinned in the cache with this generation
+        // as its only writer — handing off now would strand it, so
+        // refuse and let the migrator abort with the workload intact.
         self.sync()?;
-        if !self.delay_pins.lock().is_empty() {
+        if self.cache.pinned() > 0 {
             return Err(Errno::EBUSY);
         }
         Ok(())
@@ -1715,8 +1649,8 @@ mod tests {
     }
 
     /// Journaled blocks belong to the checkpoint until it retires them:
-    /// cache writeback must never write their homes (Delay pins hold
-    /// from publish to retire), and after the checkpoint has written the
+    /// cache writeback must never write their homes (pins hold from
+    /// publish to retire), and after the checkpoint has written the
     /// homes itself the buffers are clean, so writeback still has
     /// nothing to do. This single-writer discipline is what makes the
     /// checkpoint's newer-image skip race-free.
@@ -1729,7 +1663,7 @@ mod tests {
         assert_eq!(
             fs.cache().stats().writebacks,
             0,
-            "every journaled block stays Delay-pinned until checkpoint"
+            "every journaled block stays pinned until checkpoint"
         );
         assert!(fs.journal().unwrap().pending_checkpoints() > 0);
         fs.checkpoint(usize::MAX).unwrap();
@@ -1743,6 +1677,28 @@ mod tests {
         let mut buf = vec![0u8; 16];
         let n = fs.read(ino, 0, &mut buf).unwrap();
         assert_eq!(&buf[..n], b"not yet home");
+    }
+
+    /// Group commit merges two operations' images of one block into one
+    /// record entry; each operation's pin still rides in its own member
+    /// into the record, so the merge neither drops the block's pinning
+    /// early nor leaks a pin once the record retires (the old per-block
+    /// pin map leaked here).
+    #[test]
+    fn merged_async_ops_on_one_block_leave_no_pin_after_sync() {
+        let fs = mount(JournalMode::Async);
+        let ino = fs.create(ROOT_INO, "merged").unwrap();
+        fs.write(ino, 0, b"first").unwrap();
+        fs.write(ino, 0, b"second").unwrap();
+        let j = fs.journal().unwrap();
+        assert_eq!(j.staged_ops(), 3, "all three ops in the running txn");
+        fs.sync().unwrap();
+        assert_eq!(j.stats().batches, 1, "one merged record");
+        assert_eq!(fs.cache().pinned(), 0);
+        fs.quiesce_for_handoff().unwrap();
+        let mut buf = [0u8; 8];
+        let n = fs.read(ino, 0, &mut buf).unwrap();
+        assert_eq!(&buf[..n], b"second");
     }
 
     #[test]

@@ -9,6 +9,8 @@
 //! systems and the journal, plus a [`BufferHead::validate`] routine encoding
 //! the legal-combination rules — the machine-checkable fragment of the
 //! specification the paper says a verified file system would need.
+//! One flag is not set by hand: `Delay` reads the buffer's count of live
+//! [`DelayPin`]s (§4.3's ownership model in place of a convention).
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -150,14 +152,44 @@ pub struct BufferHead {
     pub blkno: u64,
     /// Block contents.
     pub data: Vec<u8>,
-    /// Packed flag state.
+    /// Packed flag state, `Delay` excepted: that bit is `pins > 0`.
     pub state: BufferState,
+    /// Live [`DelayPin`]s on this buffer.
+    pins: usize,
 }
 
 impl BufferHead {
     /// Validates the flag combination currently set on this buffer.
     pub fn validate(&self) -> Result<(), FlagViolation> {
         validate_state(self.state)
+    }
+
+    /// Dirty and unpinned: the image is the cache's to write home.
+    fn writable(&self) -> bool {
+        self.state.has(BhFlag::Dirty) && self.pins == 0
+    }
+
+    /// Starts a writeback if writable, snapshotting the image into `out`
+    /// under the same hold. Dirtiness moves to the IO: a re-dirty during
+    /// the write stays set and reaches the device on the next sync.
+    fn start_writeback(&mut self, out: &mut Vec<u8>) -> bool {
+        if !self.writable() {
+            return false;
+        }
+        let s = self.state.with(BhFlag::Lock).with(BhFlag::AsyncWrite);
+        self.state = s.without(BhFlag::Dirty);
+        out.extend_from_slice(&self.data);
+        true
+    }
+
+    /// Marks new contents: `Dirty | Uptodate | Mapped`, clearing `New`.
+    fn mark_written(&mut self) {
+        self.state = self
+            .state
+            .with(BhFlag::Uptodate)
+            .with(BhFlag::Mapped)
+            .with(BhFlag::Dirty)
+            .without(BhFlag::New);
     }
 }
 
@@ -186,40 +218,95 @@ impl Buffer {
     pub fn write<R>(&self, f: impl FnOnce(&mut [u8]) -> R) -> R {
         let mut h = self.head.lock();
         let r = f(&mut h.data);
-        h.state = h
-            .state
-            .with(BhFlag::Uptodate)
-            .with(BhFlag::Mapped)
-            .with(BhFlag::Dirty)
-            .without(BhFlag::New);
+        h.mark_written();
         r
     }
 
-    /// Current flag state.
-    pub fn state(&self) -> BufferState {
-        self.head.lock().state
+    /// Publishes `data` as this buffer's newest image, marked as by
+    /// [`Buffer::write`] and pinned in the same critical section.
+    pub fn publish(self: &Arc<Self>, data: &[u8]) -> DelayPin {
+        let mut h = self.head.lock();
+        h.data.copy_from_slice(data);
+        h.mark_written();
+        h.pins += 1;
+        drop(h);
+        DelayPin(Arc::clone(self))
     }
 
-    /// Sets a flag (raw access for legacy code and the journal).
+    /// True while some [`DelayPin`] on this buffer is alive.
+    pub fn is_pinned(&self) -> bool {
+        self.head.lock().pins > 0
+    }
+
+    /// Current flag state (`Delay` while pinned).
+    pub fn state(&self) -> BufferState {
+        let h = self.head.lock();
+        match h.pins {
+            0 => h.state,
+            _ => h.state.with(BhFlag::Delay),
+        }
+    }
+
+    /// Sets a flag (raw access for legacy code), except `Delay`.
     pub fn set_flag(&self, flag: BhFlag) {
+        assert_ne!(flag, BhFlag::Delay, "Delay is taken with Buffer::publish");
         let mut h = self.head.lock();
         h.state = h.state.with(flag);
     }
 
-    /// Clears a flag.
+    /// Clears a flag, except `Delay`.
     pub fn clear_flag(&self, flag: BhFlag) {
+        assert_ne!(flag, BhFlag::Delay, "Delay clears when its pins drop");
         let mut h = self.head.lock();
         h.state = h.state.without(flag);
     }
 
     /// Tests a flag.
     pub fn test_flag(&self, flag: BhFlag) -> bool {
-        self.head.lock().state.has(flag)
+        self.state().has(flag)
     }
 
     /// Validates the current flag combination.
     pub fn validate(&self) -> Result<(), FlagViolation> {
         self.head.lock().validate()
+    }
+}
+
+/// A write-ahead claim on a published image, made only by
+/// [`Buffer::publish`]. While a buffer has pins, writeback, eviction and
+/// [`BufferCache::invalidate_blocks`] leave it alone. Its journal drops a
+/// pin once a checkpoint wrote the image home, or when the transaction
+/// failed (the image must never reach home), so the last drop marks the
+/// buffer clean.
+///
+/// A pin is one count, so it cannot be duplicated:
+///
+/// ```compile_fail
+/// # use sk_ksim::buffer::DelayPin;
+/// fn share(pin: DelayPin) -> (DelayPin, DelayPin) {
+///     (pin.clone(), pin)
+/// }
+/// ```
+///
+/// and it is released exactly once — it cannot be used after that:
+///
+/// ```compile_fail
+/// # use sk_ksim::buffer::DelayPin;
+/// fn release_twice(pin: DelayPin) {
+///     drop(pin);
+///     drop(pin);
+/// }
+/// ```
+#[must_use = "dropping a pin releases it at once"]
+pub struct DelayPin(Arc<Buffer>);
+
+impl Drop for DelayPin {
+    fn drop(&mut self) {
+        let mut h = self.0.head.lock();
+        h.pins -= 1;
+        if h.pins == 0 {
+            h.state = h.state.without(BhFlag::Dirty);
+        }
     }
 }
 
@@ -373,7 +460,12 @@ impl BufferCache {
             head: TrackedMutex::new(
                 &self.registry,
                 "buffer.head",
-                BufferHead { blkno, data, state },
+                BufferHead {
+                    blkno,
+                    data,
+                    state,
+                    pins: 0,
+                },
             ),
             last_used: AtomicU64::new(0),
         });
@@ -414,13 +506,10 @@ impl BufferCache {
                 Some(b) => Arc::clone(b),
                 None => continue,
             };
-            // Two strong refs: the map's and ours.
+            // Two strong refs: the map's and ours. A pin holds one too, so
+            // a pinned buffer (its newest image not yet journal-durable)
+            // is never dropped here.
             if Arc::strong_count(&buf) > 2 {
-                continue;
-            }
-            // Delay-pinned: the newest image is not yet journal-durable,
-            // so it must neither reach its home location nor be dropped.
-            if buf.test_flag(BhFlag::Delay) {
                 continue;
             }
             if buf.test_flag(BhFlag::Dirty) {
@@ -437,22 +526,20 @@ impl BufferCache {
     /// finishes their eviction. Must be called with no shard lock held:
     /// the device write happens lock-free, and the removal re-checks the
     /// buffer under the shard lock (a concurrent `bread` may have
-    /// re-referenced, re-dirtied, or Delay-pinned it meanwhile — or
-    /// replaced the map entry entirely).
+    /// re-referenced, re-dirtied, or pinned it meanwhile — or replaced the
+    /// map entry entirely).
     fn writeback_deferred(&self, deferred: &[Arc<Buffer>]) -> KResult<()> {
         for buf in deferred {
             let idx = self.shard_of(buf.blkno());
-            self.writeback(idx, buf)?;
+            self.writeback(buf)?;
             let mut shard = self.shards[idx].write();
             match shard.map.get(&buf.blkno()) {
                 Some(b) if Arc::ptr_eq(b, buf) => {}
                 _ => continue,
             }
-            // Two strong refs: the map's and the deferred list's.
-            if Arc::strong_count(buf) > 2
-                || buf.test_flag(BhFlag::Dirty)
-                || buf.test_flag(BhFlag::Delay)
-            {
+            // Two strong refs: the map's and the deferred list's (a pin
+            // would be a third).
+            if Arc::strong_count(buf) > 2 || buf.test_flag(BhFlag::Dirty) {
                 continue;
             }
             shard.map.remove(&buf.blkno());
@@ -461,34 +548,45 @@ impl BufferCache {
         Ok(())
     }
 
-    /// Writes one buffer back to the device. Dirtiness transfers to the
-    /// in-flight IO at snapshot time: a concurrent re-dirty during the
-    /// write stays set and reaches the device on the next sync, so no
-    /// update is lost.
-    fn writeback(&self, idx: usize, buf: &Buffer) -> KResult<()> {
-        let data = {
-            let mut h = buf.head.lock();
-            h.state = h
-                .state
-                .with(BhFlag::Lock)
-                .with(BhFlag::AsyncWrite)
-                .without(BhFlag::Dirty);
-            h.data.clone()
-        };
+    /// Writes one buffer back to the device if it is dirty and unpinned.
+    fn writeback(&self, buf: &Buffer) -> KResult<()> {
+        let mut data = Vec::new();
+        if !buf.head.lock().start_writeback(&mut data) {
+            return Ok(());
+        }
         self.registry.note_blocking_io("write_block");
         let res = self.dev.write_block(buf.blkno(), &data);
+        self.end_writeback(buf, res.is_ok());
+        res
+    }
+
+    /// Writes `run`, contiguous buffers whose images `payload` holds, as
+    /// one vectored extent; empties both.
+    fn write_run(&self, run: &mut Vec<Arc<Buffer>>, payload: &mut Vec<u8>) -> KResult<()> {
+        let Some(start) = run.first().map(|b| b.blkno()) else {
+            return Ok(());
+        };
+        self.registry.note_blocking_io("write_blocks");
+        let res = self.dev.write_blocks(start, run.len(), payload);
+        for buf in run.drain(..) {
+            self.end_writeback(&buf, res.is_ok());
+        }
+        payload.clear();
+        res
+    }
+
+    /// Ends `buf`'s writeback with the device's verdict: `Req` and a
+    /// counted writeback, or `WriteEio` with the dirtiness restored.
+    fn end_writeback(&self, buf: &Buffer, ok: bool) {
         let mut h = buf.head.lock();
         h.state = h.state.without(BhFlag::AsyncWrite).without(BhFlag::Lock);
-        match res {
-            Ok(()) => {
-                h.state = h.state.with(BhFlag::Req);
-                self.stats[idx].writebacks.fetch_add(1, Ordering::Relaxed);
-                Ok(())
-            }
-            Err(e) => {
-                h.state = h.state.with(BhFlag::WriteEio).with(BhFlag::Dirty);
-                Err(e)
-            }
+        if ok {
+            h.state = h.state.with(BhFlag::Req);
+            drop(h);
+            let idx = self.shard_of(buf.blkno());
+            self.stats[idx].writebacks.fetch_add(1, Ordering::Relaxed);
+        } else {
+            h.state = h.state.with(BhFlag::WriteEio).with(BhFlag::Dirty);
         }
     }
 
@@ -594,20 +692,16 @@ impl BufferCache {
         Ok(buf)
     }
 
-    /// Writes back one block if it is cached and dirty.
+    /// Writes back one block if it is cached, dirty and unpinned.
     pub fn sync_block(&self, blkno: u64) -> KResult<()> {
-        let idx = self.shard_of(blkno);
-        let buf = self.shards[idx].read().map.get(&blkno).cloned();
-        if let Some(buf) = buf {
-            if buf.test_flag(BhFlag::Dirty) && !buf.test_flag(BhFlag::Delay) {
-                self.writeback(idx, &buf)?;
-            }
+        match self.peek(blkno) {
+            Some(buf) => self.writeback(&buf),
+            None => Ok(()),
         }
-        Ok(())
     }
 
-    /// Writes back every dirty buffer (ascending block order, for
-    /// determinism) and issues a device flush barrier. Adjacent dirty
+    /// Writes back every dirty, unpinned buffer (ascending block order,
+    /// for determinism) and issues a device flush barrier. Adjacent dirty
     /// blocks coalesce into vectored [`BlockDevice::write_blocks`]
     /// extents, charging one seek per run instead of one per block.
     pub fn sync_all(&self) -> KResult<()> {
@@ -618,65 +712,28 @@ impl BufferCache {
                     .read()
                     .map
                     .values()
-                    // Delay-pinned buffers wait for their journal record
-                    // to become durable before any home write.
-                    .filter(|b| b.test_flag(BhFlag::Dirty) && !b.test_flag(BhFlag::Delay))
+                    .filter(|b| b.head.lock().writable())
                     .cloned(),
             );
         }
         dirty.sort_by_key(|b| b.blkno());
         let mut run: Vec<Arc<Buffer>> = Vec::new();
         let mut payload: Vec<u8> = Vec::new();
-        let mut i = 0;
-        while i <= dirty.len() {
-            let extends = i < dirty.len()
-                && match run.last() {
-                    Some(prev) => dirty[i].blkno() == prev.blkno() + 1,
-                    None => true,
-                };
-            if extends {
-                // Snapshot under the buffer lock, transferring dirtiness
-                // to the in-flight extent (see `writeback`).
-                let buf = &dirty[i];
-                let mut h = buf.head.lock();
-                h.state = h
-                    .state
-                    .with(BhFlag::Lock)
-                    .with(BhFlag::AsyncWrite)
-                    .without(BhFlag::Dirty);
-                payload.extend_from_slice(&h.data);
-                drop(h);
-                run.push(Arc::clone(buf));
-                i += 1;
-                continue;
+        for buf in dirty {
+            if run
+                .last()
+                .is_some_and(|prev| prev.blkno() + 1 != buf.blkno())
+            {
+                self.write_run(&mut run, &mut payload)?;
             }
-            if !run.is_empty() {
-                let start = run[0].blkno();
-                self.registry.note_blocking_io("write_blocks");
-                let res = self.dev.write_blocks(start, run.len(), &payload);
-                for (j, buf) in run.iter().enumerate() {
-                    let mut h = buf.head.lock();
-                    h.state = h.state.without(BhFlag::AsyncWrite).without(BhFlag::Lock);
-                    match &res {
-                        Ok(()) => {
-                            h.state = h.state.with(BhFlag::Req);
-                            drop(h);
-                            let idx = self.shard_of(start + j as u64);
-                            self.stats[idx].writebacks.fetch_add(1, Ordering::Relaxed);
-                        }
-                        Err(_) => {
-                            h.state = h.state.with(BhFlag::WriteEio).with(BhFlag::Dirty);
-                        }
-                    }
-                }
-                res?;
-                run.clear();
-                payload.clear();
-            }
-            if i >= dirty.len() {
-                break;
+            // The scan's verdict may be stale by now: the snapshot
+            // decides again, and a buffer pinned or cleaned since is
+            // skipped, which also ends the run.
+            if buf.head.lock().start_writeback(&mut payload) {
+                run.push(buf);
             }
         }
+        self.write_run(&mut run, &mut payload)?;
         self.registry.note_blocking_io("flush");
         self.dev.flush()
     }
@@ -698,22 +755,27 @@ impl BufferCache {
     }
 
     /// Drops the listed blocks' buffers without writeback — except
-    /// buffers that are `Delay`-pinned, whose newest image belongs to an
-    /// in-flight journal transaction and must stay visible to readers.
-    /// Failed-commit paths use this to revert only their own published
-    /// blocks instead of clobbering the whole cache.
+    /// pinned buffers, whose newest image belongs to an in-flight journal
+    /// transaction and must stay visible to readers. Failed-commit paths
+    /// use this to revert only their own published blocks instead of
+    /// clobbering the whole cache.
     pub fn invalidate_blocks(&self, blknos: &[u64]) {
         for &blkno in blknos {
             let idx = self.shard_of(blkno);
             let mut shard = self.shards[idx].write();
-            let pinned = shard
-                .map
-                .get(&blkno)
-                .is_some_and(|b| b.test_flag(BhFlag::Delay));
+            let pinned = shard.map.get(&blkno).is_some_and(|b| b.is_pinned());
             if !pinned {
                 shard.map.remove(&blkno);
             }
         }
+    }
+
+    /// Number of cached buffers some [`DelayPin`] still holds.
+    pub fn pinned(&self) -> usize {
+        self.shards
+            .iter()
+            .map(|s| s.read().map.values().filter(|b| b.is_pinned()).count())
+            .sum()
     }
 
     /// Number of buffers currently cached.
@@ -1012,15 +1074,91 @@ mod tests {
     }
 
     #[test]
-    fn invalidate_blocks_spares_delay_pinned() {
+    fn invalidate_blocks_spares_pinned() {
         let c = cache(8, 8);
-        let pinned = c.bread(1).unwrap();
-        pinned.write(|d| d[0] = 9);
-        pinned.set_flag(BhFlag::Delay);
+        let pin = c.bread(1).unwrap().publish(&[9; BLOCK_SIZE]);
         c.bread(2).unwrap();
         c.invalidate_blocks(&[1, 2]);
-        assert!(c.peek(1).is_some(), "Delay-pinned buffer survives");
+        assert!(c.peek(1).is_some(), "pinned buffer survives");
         assert!(c.peek(2).is_none(), "unpinned buffer dropped");
+        drop(pin);
+        c.invalidate_blocks(&[1]);
+        assert!(c.peek(1).is_none(), "released, it is dropped too");
+    }
+
+    /// The pin count is the only source of truth: two pins keep a buffer
+    /// pinned (`Delay`) and dirty, out of writeback, until the second
+    /// drops; the last drop marks it clean.
+    #[test]
+    fn two_pins_hold_until_the_second_drops() {
+        let c = cache(8, 8);
+        let buf = c.getblk(3).unwrap();
+        let first = buf.publish(&[1; BLOCK_SIZE]);
+        let second = buf.publish(&[2; BLOCK_SIZE]);
+        assert_eq!(c.pinned(), 1);
+        drop(first);
+        assert!(buf.is_pinned() && buf.test_flag(BhFlag::Delay));
+        assert!(buf.test_flag(BhFlag::Dirty));
+        buf.validate().unwrap();
+        c.sync_all().unwrap();
+        c.sync_block(3).unwrap();
+        assert_eq!(c.stats().writebacks, 0, "pinned images never go home");
+        drop(second);
+        assert!(!buf.test_flag(BhFlag::Delay) && !buf.test_flag(BhFlag::Dirty));
+        assert_eq!(buf.read(|d| d[0]), 2, "the newest image stays cached");
+        assert_eq!(c.pinned(), 0);
+    }
+
+    /// Publishing onto a pinned buffer adds a pin; it never resets the
+    /// count, so the older pin's drop leaves the buffer pinned.
+    #[test]
+    fn publish_onto_a_pinned_buffer_keeps_it_pinned() {
+        let c = cache(8, 8);
+        let buf = c.bread(4).unwrap();
+        let older = buf.publish(&[1; BLOCK_SIZE]);
+        let newer = buf.publish(&[2; BLOCK_SIZE]);
+        drop(older);
+        assert!(buf.is_pinned());
+        drop(newer);
+        assert!(!buf.is_pinned());
+    }
+
+    #[test]
+    #[should_panic(expected = "Delay is taken with Buffer::publish")]
+    fn delay_is_not_a_settable_flag() {
+        cache(8, 4).bread(0).unwrap().set_flag(BhFlag::Delay);
+    }
+
+    /// A publish dirties and pins in one head-lock hold, and a pin's last
+    /// drop cleans in the same hold as the count reaches zero, so a
+    /// concurrent `sync_all` never finds a published image dirty and
+    /// unpinned. Split either step in two and this counts writebacks.
+    #[test]
+    fn sync_all_never_writes_a_published_image_home() {
+        use std::thread;
+        let c = Arc::new(cache(64, 64));
+        let bufs: Vec<Arc<Buffer>> = (0..32).map(|b| c.getblk(b).unwrap()).collect();
+        let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let syncer = {
+            let (c, stop) = (Arc::clone(&c), Arc::clone(&stop));
+            thread::spawn(move || {
+                while !stop.load(Ordering::Relaxed) {
+                    c.sync_all().unwrap();
+                }
+            })
+        };
+        // Every publish pins its image until the pin drops, and a drop
+        // marks it clean: no home write may ever carry a pinned image.
+        for round in 0..2_000u32 {
+            let pins: Vec<DelayPin> = bufs
+                .iter()
+                .map(|b| b.publish(&[round as u8; BLOCK_SIZE]))
+                .collect();
+            drop(pins);
+        }
+        stop.store(true, Ordering::Relaxed);
+        syncer.join().unwrap();
+        assert_eq!(c.stats().writebacks, 0);
     }
 
     /// Regression for the shrink held-across-I/O bug: eviction used to

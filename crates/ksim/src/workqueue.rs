@@ -211,8 +211,8 @@ impl Flusher {
     }
 
     /// Flushes immediately (also used by sync paths). Hooks run first so
-    /// journal checkpoints release their Delay pins before writeback
-    /// collects the dirty set; the first error wins but writeback still
+    /// journal checkpoints retire their records, and so release those
+    /// records' Delay pins, before writeback collects the dirty set; the first error wins but writeback still
     /// runs.
     pub fn flush_now(&self) -> KResult<()> {
         self.flushes.fetch_add(1, Ordering::Relaxed);

@@ -12,9 +12,10 @@
 //!    flight drain because each holds the gate shared for its duration),
 //!    drain every registered ring's queued SQEs against the old
 //!    generation, and drive the old generation's journal through one
-//!    final commit + checkpoint ([`FileSystem::quiesce_for_handoff`]),
-//!    which also releases every `Delay` pin — at the end of this step the
-//!    old generation's cache holds **no dirty state**.
+//!    final commit + checkpoint ([`FileSystem::quiesce_for_handoff`]);
+//!    retiring the checkpointed records drops the `Delay` pins they own
+//!    — at the end of this step the old generation's cache holds **no
+//!    dirty state**.
 //! 2. **Transfer** — walk the tree once ([`copy_tree`]), building the
 //!    old→new inode map. Clean blocks are *not* copied at the block
 //!    layer: the new generation re-faults them from its own device on
@@ -238,8 +239,8 @@ impl<'a> Migrator<'a> {
         }
 
         // One final commit + checkpoint: every staged op becomes
-        // durable, every Delay pin releases, the cache holds no dirty
-        // block. An error here aborts the swap with the old generation
+        // durable, every retired record drops its Delay pins, the cache
+        // holds no dirty block. An error here aborts the swap with the old generation
         // untouched and still authoritative.
         old.quiesce_for_handoff()?;
         self.observe(MigratePhase::Quiesced);

@@ -141,6 +141,51 @@ fn rsfs_eight_thread_stress_stats_consistent_no_lost_updates() {
     assert!(report.is_clean(), "{:?}", report.findings);
 }
 
+/// Journaled blocks reach home only through the checkpoint, even while
+/// another thread keeps syncing the cache. One thread creates, writes
+/// and unlinks files for about a second; a second loops `sync_all`,
+/// whose every pass races the publishes and pin releases. A publish that
+/// dirtied a buffer before pinning it, or a writeback that decided in
+/// one critical section and snapshotted in another, let that pass write
+/// a journaled image home (under `PerOp`, before its record was even
+/// durable); any such write shows in `writebacks`.
+#[test]
+fn concurrent_sync_all_never_writes_journaled_homes() {
+    use std::sync::atomic::AtomicBool;
+    use std::time::{Duration, Instant};
+    for mode in [JournalMode::PerOp, JournalMode::Async] {
+        let dev: Arc<dyn BlockDevice> = Arc::new(RamDisk::new(1024));
+        Rsfs::mkfs(&dev, 128, 64).unwrap();
+        let fs = Arc::new(Rsfs::mount(dev, mode).unwrap());
+        let done = Arc::new(AtomicBool::new(false));
+        let syncer = {
+            let (fs, done) = (Arc::clone(&fs), Arc::clone(&done));
+            thread::spawn(move || {
+                while !done.load(Ordering::Relaxed) {
+                    fs.cache().sync_all().unwrap();
+                }
+            })
+        };
+        let root = fs.root_ino();
+        let until = Instant::now() + Duration::from_secs(1);
+        let mut ops = 0u64;
+        while Instant::now() < until {
+            let name = format!("f{}", ops % 16);
+            let ino = fs.create(root, &name).unwrap();
+            assert_eq!(fs.write(ino, 0, b"journal").unwrap(), 7);
+            fs.unlink(root, &name).unwrap();
+            ops += 1;
+        }
+        done.store(true, Ordering::Relaxed);
+        syncer.join().unwrap();
+        assert_eq!(
+            fs.cache().stats().writebacks,
+            0,
+            "{mode:?}: cache writeback wrote a journaled home ({ops} op triples)"
+        );
+    }
+}
+
 /// Eight threads increment disjoint byte slots of the same shared blocks
 /// through a deliberately tiny cache, so hits, misses, evictions and
 /// writebacks all interleave. Dirtiness transfers to in-flight IO at
