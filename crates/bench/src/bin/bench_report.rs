@@ -21,14 +21,15 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use serde_json::Value;
+use sk_bench::mix::{ring, swap};
 use sk_bench::{make_cext4_adapter, make_rsfs};
-use sk_fs_safe::rsfs::JournalMode;
+use sk_fs_safe::rsfs::{JournalMode, Rsfs};
 use sk_ksim::block::{BlockDevice, RamDisk, BLOCK_SIZE};
 use sk_ksim::buffer::BufferCache;
 use sk_ksim::time::SimClock;
 use sk_vfs::dcache::Dcache;
-use sk_vfs::modular::{BatchOp, FileSystem};
-use sk_vfs::ring::{Ring, RingReactor, RingThrottle};
+use sk_vfs::modular::FileSystem;
+use sk_vfs::ring::{Ring, RingReactor};
 
 fn obj(pairs: Vec<(&str, Value)>) -> Value {
     Value::Object(
@@ -280,6 +281,17 @@ impl BlockDevice for SlowFlushDevice {
     }
 }
 
+/// A fresh rsfs in journal mode `mode` on a RAM disk whose flush
+/// barrier costs 50µs.
+fn slow_flush_rsfs(mode: JournalMode) -> Rsfs {
+    let dev: Arc<dyn BlockDevice> = Arc::new(SlowFlushDevice {
+        inner: Arc::new(RamDisk::new(8192)),
+        flush_cost: std::time::Duration::from_micros(50),
+    });
+    Rsfs::mkfs(&dev, 1024, 128).expect("mkfs");
+    Rsfs::mount(dev, mode).expect("mount")
+}
+
 /// Group commit under concurrency: T threads write disjoint files through
 /// one journaled rsfs on a device with a 50µs flush barrier. Reports both
 /// wall time and the journal's own accounting — `batches < commits` is
@@ -289,13 +301,7 @@ fn bench_group_commit(thread_counts: &[usize]) -> Value {
     const WRITES_PER_THREAD: usize = 48;
     let mut rows = Vec::new();
     for &threads in thread_counts {
-        let ram = Arc::new(RamDisk::new(8192));
-        let dev: Arc<dyn BlockDevice> = Arc::new(SlowFlushDevice {
-            inner: ram,
-            flush_cost: std::time::Duration::from_micros(50),
-        });
-        sk_fs_safe::rsfs::Rsfs::mkfs(&dev, 1024, 128).expect("mkfs");
-        let fs = Arc::new(sk_fs_safe::rsfs::Rsfs::mount(dev, JournalMode::PerOp).expect("mount"));
+        let fs = Arc::new(slow_flush_rsfs(JournalMode::PerOp));
         let root = fs.root_ino();
         let inos: Vec<u64> = (0..threads)
             .map(|t| fs.create(root, &format!("t{t}")).unwrap())
@@ -363,13 +369,7 @@ fn bench_async_commit() -> Value {
         // internally consistent.
         let mut best: Option<(u64, u64, sk_fs_safe::journal::JournalStats)> = None;
         for _ in 0..7 {
-            let ram = Arc::new(RamDisk::new(8192));
-            let dev: Arc<dyn BlockDevice> = Arc::new(SlowFlushDevice {
-                inner: ram,
-                flush_cost: std::time::Duration::from_micros(50),
-            });
-            sk_fs_safe::rsfs::Rsfs::mkfs(&dev, 1024, 128).expect("mkfs");
-            let fs = sk_fs_safe::rsfs::Rsfs::mount(dev, mode).expect("mount");
+            let fs = slow_flush_rsfs(mode);
             let root = fs.root_ino();
             let payload = vec![0x5Au8; 256];
             let t0 = Instant::now();
@@ -418,51 +418,6 @@ fn bench_async_commit() -> Value {
     Value::Array(rows)
 }
 
-/// One op of the mixed ring workload: per 8-op cycle, one create, three
-/// writes, two reads, one unlink, one fsync. All data ops target the
-/// client's pre-made base file, so a client can keep a window of SQEs in
-/// flight without data dependencies between them. The unlink targets the
-/// file created in the cycle *before last* (12 ops earlier — beyond the
-/// in-flight window), so its create has completed before the unlink is
-/// even submitted: with N work-stealing reactors, batches execute out of
-/// submission order, and a shorter gap would race an unlink past its own
-/// create. The first cycle (and each repetition's last created file,
-/// which the driver cleans up untimed) substitutes a read. `run` keys
-/// names so repetitions of the min-of-N estimator never collide.
-fn ring_workload_op(run: usize, client: usize, base: u64, dir: u64, k: usize) -> BatchOp {
-    match k % 8 {
-        0 => BatchOp::Create {
-            dir,
-            name: format!("r{run}c{client}o{k}"),
-        },
-        4 if k >= 12 => BatchOp::Unlink {
-            dir,
-            name: format!("r{run}c{client}o{}", k - 12),
-        },
-        7 => BatchOp::Fsync { ino: base },
-        2 | 4 | 6 => BatchOp::Read {
-            ino: base,
-            off: ((k % 4) * 1024) as u64,
-            buf: vec![0u8; 1024],
-        },
-        _ => BatchOp::Write {
-            ino: base,
-            off: ((k % 4) * 1024) as u64,
-            data: vec![client as u8; 1024],
-        },
-    }
-}
-
-/// Names `ring_workload_op` leaves behind after a full `ops`-op run —
-/// the tail creates whose unlink cycle never came. Unlinked between
-/// repetitions, off the clock.
-fn ring_workload_leftovers(run: usize, client: usize, ops: usize) -> Vec<String> {
-    (0..ops)
-        .filter(|k| k % 8 == 0 && k + 12 >= ops)
-        .map(|k| format!("r{run}c{client}o{k}"))
-        .collect()
-}
-
 fn latency_row(mut lats_ns: Vec<u64>) -> (f64, f64, f64) {
     lats_ns.sort_unstable();
     let pick = |q: f64| lats_ns[((lats_ns.len() - 1) as f64 * q) as usize] as f64 / 1e3;
@@ -471,216 +426,107 @@ fn latency_row(mut lats_ns: Vec<u64>) -> (f64, f64, f64) {
 }
 
 /// The tentpole measurement: typed submission/completion rings vs
-/// per-call ingestion — the identical mixed create/write/read/fsync
-/// stream from 128 concurrent clients, swept over reactors × ring
-/// depth. Each client keeps a window of 8 SQEs in flight; op latency is
-/// measured submit→CQE *including* any time blocked on a full ring,
-/// which is exactly what a caller observes — structural backpressure
-/// shows up as p99, not as a dropped sample. The per-call row runs the
-/// same 128 threads calling the `FileSystem` methods directly: that is
-/// the baseline the ring has to beat. Every row is min-of-7 (the ring
-/// and reactor pool stay up across repetitions; each repetition keys
-/// its file names by run index and cleans its leftovers off the clock),
-/// and the reported percentiles come from the same repetition that
-/// produced the minimum wall time.
+/// per-call ingestion — the [`sk_bench::mix::ring`] mix from 128
+/// concurrent clients, swept over reactors × ring depth, every reply
+/// and every client's end state checked. The per-call row runs the same
+/// 128 threads calling the `FileSystem` methods directly: that is the
+/// baseline the ring has to beat. Every row is min-of-7 (the ring and
+/// reactor pool stay up across repetitions) with the percentiles of the
+/// repetition that produced the minimum; see
+/// [`sk_bench::mix::ring::drive`]. Any failed op fails the report with
+/// a nonzero exit, after every row is printed.
 fn bench_ring_throughput(reactor_counts: &[usize], depths: &[usize]) -> Value {
     const CLIENTS: usize = 128;
-    const OPS_EACH: usize = 64;
-    const WINDOW: usize = 8;
+    const OPS_EACH: u64 = 64;
     const RUNS: usize = 7;
-    let mut rows = Vec::new();
-
+    const SEED: u64 = 1;
+    let total_ops = CLIENTS as f64 * OPS_EACH as f64;
     let setup = || {
         let fs = Arc::new(make_rsfs(JournalMode::Async, 16384));
-        let root = fs.root_ino();
-        // Each client works in its own directory: name ops (create/
-        // unlink) serialize on the directory inode's op stripe, so
-        // funneling all 128 clients through the root would pin ~25% of
-        // the stream to one stripe no matter how many reactors run.
-        let dirs: Vec<u64> = (0..CLIENTS)
-            .map(|c| fs.mkdir(root, &format!("d{c}")).unwrap())
-            .collect();
-        let bases: Vec<u64> = (0..CLIENTS)
-            .map(|c| fs.create(dirs[c], &format!("base{c}")).unwrap())
-            .collect();
-        fs.sync().unwrap();
-        (fs, dirs, bases)
+        let fs_dyn: Arc<dyn FileSystem> = Arc::clone(&fs) as Arc<dyn FileSystem>;
+        let clients = ring::setup(&*fs_dyn, CLIENTS, SEED).expect("set up ring clients");
+        (fs, fs_dyn, clients)
     };
-    let total_ops = (CLIENTS * OPS_EACH) as f64;
+    // The fields every row shares; returns them with ops/s, p50 and p99.
+    let row = |mode: &str, s: ring::Sample| {
+        let ops_per_sec = total_ops / (s.wall_ns as f64 / 1e9);
+        let (p50_us, p99_us, mean_us) = latency_row(s.lats_ns);
+        let fields = vec![
+            ("estimator", Value::String("min-of-7".into())),
+            ("device", Value::String("ramdisk".into())),
+            ("mode", Value::String(mode.into())),
+            ("clients", num(CLIENTS as f64)),
+            ("ops", num(total_ops)),
+            ("wall_ns", num(s.wall_ns as f64)),
+            ("ops_per_sec", num(ops_per_sec)),
+            ("p50_us", num(p50_us)),
+            ("p99_us", num(p99_us)),
+            ("mean_us", num(mean_us)),
+            ("failed_ops", num(s.failed_ops as f64)),
+        ];
+        (fields, ops_per_sec, p50_us, p99_us)
+    };
+    let mut rows = Vec::new();
+    let mut failed_ops = 0;
 
     // Per-call baseline: direct trait calls, one thread per client.
-    let (fs, dirs, bases) = setup();
-    let mut best: Option<(u64, Vec<u64>)> = None;
-    for run in 0..RUNS {
-        let t0 = Instant::now();
-        let handles: Vec<_> = (0..CLIENTS)
-            .map(|c| {
-                let fs = Arc::clone(&fs);
-                let base = bases[c];
-                let dir = dirs[c];
-                std::thread::spawn(move || {
-                    let mut lats = Vec::with_capacity(OPS_EACH);
-                    for k in 0..OPS_EACH {
-                        let t = Instant::now();
-                        match ring_workload_op(run, c, base, dir, k) {
-                            BatchOp::Create { dir, name } => {
-                                fs.create(dir, &name).unwrap();
-                            }
-                            BatchOp::Unlink { dir, name } => {
-                                fs.unlink(dir, &name).unwrap();
-                            }
-                            BatchOp::Fsync { ino } => fs.fsync(ino).unwrap(),
-                            BatchOp::Read { ino, off, mut buf } => {
-                                fs.read(ino, off, &mut buf).unwrap();
-                            }
-                            BatchOp::Write { ino, off, data } => {
-                                fs.write(ino, off, &data).unwrap();
-                            }
-                        }
-                        lats.push(t.elapsed().as_nanos() as u64);
-                    }
-                    lats
-                })
-            })
-            .collect();
-        let mut lats = Vec::new();
-        for h in handles {
-            lats.extend(h.join().unwrap());
-        }
-        let wall_ns = t0.elapsed().as_nanos() as u64;
-        for (c, &dir) in dirs.iter().enumerate() {
-            for name in ring_workload_leftovers(run, c, OPS_EACH) {
-                fs.unlink(dir, &name).unwrap();
-            }
-        }
-        if best.as_ref().is_none_or(|(w, _)| wall_ns < *w) {
-            best = Some((wall_ns, lats));
-        }
-    }
-    let (wall_ns, lats) = best.expect("at least one repetition");
-    let baseline_ops_per_sec = total_ops / (wall_ns as f64 / 1e9);
-    let (p50_us, p99_us, mean_us) = latency_row(lats);
-    rows.push(obj(vec![
-        ("estimator", Value::String("min-of-7".into())),
-        ("device", Value::String("ramdisk".into())),
-        ("mode", Value::String("per-call".into())),
-        ("clients", num(CLIENTS as f64)),
-        ("ops", num(total_ops)),
-        ("wall_ns", num(wall_ns as f64)),
-        ("ops_per_sec", num(baseline_ops_per_sec)),
-        ("p50_us", num(p50_us)),
-        ("p99_us", num(p99_us)),
-        ("mean_us", num(mean_us)),
-    ]));
+    let (_, fs, clients) = setup();
+    let s = ring::drive(&fs, &ring::Submit::PerCall, &clients, OPS_EACH, RUNS);
+    let failed = s.failed_ops;
+    failed_ops += failed;
+    let (fields, baseline_ops_per_sec, _, p99_us) = row("per-call", s);
+    rows.push(obj(fields));
     println!(
-        "ring_throughput per-call : {:>8.1}k ops/s, p99 {p99_us:.0} µs ({CLIENTS} clients)",
+        "ring_throughput per-call : {:>8.1}k ops/s, p99 {p99_us:.0} µs ({CLIENTS} clients, \
+         {failed} failed)",
         baseline_ops_per_sec / 1e3
     );
 
     for &reactors in reactor_counts {
         for &depth in depths {
-            let (fs, dirs, bases) = setup();
-            let ring = Arc::new(Ring::new(fs.lock_registry(), depth));
-            let fs_dyn: Arc<dyn FileSystem> = Arc::clone(&fs) as Arc<dyn FileSystem>;
-            let pressure_fs = Arc::clone(&fs);
-            let relieve_fs = Arc::clone(&fs);
+            let (rsfs, fs, clients) = setup();
+            let ring = Arc::new(Ring::new(rsfs.lock_registry(), depth));
+            let throttle = Arc::new(Rsfs::ring_throttle(&rsfs, 0.8));
             let pool = RingReactor::spawn_pool(
                 Arc::clone(&ring),
-                fs_dyn,
-                Some(Arc::new(RingThrottle {
-                    pressure: Box::new(move || {
-                        pressure_fs.journal().map_or(0.0, |j| j.log_pressure())
-                    }),
-                    relieve: Box::new(move || {
-                        let _ = relieve_fs.commit_running();
-                        let _ = relieve_fs.checkpoint(usize::MAX);
-                    }),
-                    threshold: 0.8,
-                })),
+                Arc::clone(&fs),
+                Some(throttle),
                 reactors,
             );
-            let mut best: Option<(u64, Vec<u64>)> = None;
-            for run in 0..RUNS {
-                let t0 = Instant::now();
-                let handles: Vec<_> = (0..CLIENTS)
-                    .map(|c| {
-                        let ring = Arc::clone(&ring);
-                        let base = bases[c];
-                        let dir = dirs[c];
-                        std::thread::spawn(move || {
-                            let mut lats = Vec::with_capacity(OPS_EACH);
-                            let mut inflight = std::collections::VecDeque::new();
-                            for k in 0..OPS_EACH {
-                                if inflight.len() == WINDOW {
-                                    let (ticket, t): (u64, Instant) = inflight.pop_front().unwrap();
-                                    ring.wait(ticket);
-                                    lats.push(t.elapsed().as_nanos() as u64);
-                                }
-                                let t = Instant::now();
-                                let ticket = ring
-                                    .submit(ring_workload_op(run, c, base, dir, k))
-                                    .expect("ring live");
-                                inflight.push_back((ticket, t));
-                            }
-                            for (ticket, t) in inflight {
-                                ring.wait(ticket);
-                                lats.push(t.elapsed().as_nanos() as u64);
-                            }
-                            lats
-                        })
-                    })
-                    .collect();
-                let mut lats = Vec::new();
-                for h in handles {
-                    lats.extend(h.join().unwrap());
-                }
-                let wall_ns = t0.elapsed().as_nanos() as u64;
-                for (c, &dir) in dirs.iter().enumerate() {
-                    for name in ring_workload_leftovers(run, c, OPS_EACH) {
-                        fs.unlink(dir, &name).unwrap();
-                    }
-                }
-                if best.as_ref().is_none_or(|(w, _)| wall_ns < *w) {
-                    best = Some((wall_ns, lats));
-                }
-            }
+            let submit = ring::Submit::Ring(Arc::clone(&ring));
+            let s = ring::drive(&fs, &submit, &clients, OPS_EACH, RUNS);
             for r in pool {
                 r.join();
             }
-            let (wall_ns, lats) = best.expect("at least one repetition");
-            let stats = ring.stats();
-            let ops_per_sec = total_ops / (wall_ns as f64 / 1e9);
-            let (p50_us, p99_us, mean_us) = latency_row(lats);
+            let failed = s.failed_ops;
+            failed_ops += failed;
+            let (mut fields, ops_per_sec, p50_us, p99_us) = row("ring", s);
             // Ring counters accumulate over all repetitions; the batch
             // grain is a property of the configuration, not of one run.
+            let stats = ring.stats();
             let avg_batch = stats.completed as f64 / stats.batches.max(1) as f64;
-            rows.push(obj(vec![
-                ("estimator", Value::String("min-of-7".into())),
-                ("device", Value::String("ramdisk".into())),
-                ("mode", Value::String("ring".into())),
+            fields.extend([
                 ("reactors", num(reactors as f64)),
                 ("depth", num(depth as f64)),
-                ("clients", num(CLIENTS as f64)),
-                ("ops", num(total_ops)),
-                ("wall_ns", num(wall_ns as f64)),
-                ("ops_per_sec", num(ops_per_sec)),
                 ("vs_per_call", num(ops_per_sec / baseline_ops_per_sec)),
-                ("p50_us", num(p50_us)),
-                ("p99_us", num(p99_us)),
-                ("mean_us", num(mean_us)),
                 ("batches", num(stats.batches as f64)),
                 ("avg_batch_ops", num(avg_batch)),
                 ("sq_full_blocks", num(stats.sq_full_blocks as f64)),
                 ("throttle_stalls", num(stats.throttle_stalls as f64)),
-            ]));
+            ]);
+            rows.push(obj(fields));
             println!(
                 "ring_throughput reactors={reactors} depth={depth:<4}: {:>8.1}k ops/s \
                  (×{:.2} vs per-call), p50 {p50_us:.0} µs, p99 {p99_us:.0} µs, \
-                 avg batch {avg_batch:.1} ops",
+                 avg batch {avg_batch:.1} ops, {failed} failed",
                 ops_per_sec / 1e3,
                 ops_per_sec / baseline_ops_per_sec
             );
         }
+    }
+    if failed_ops > 0 {
+        eprintln!("ring_throughput: {failed_ops} failed ops; the rows time a broken run");
+        std::process::exit(1);
     }
     Value::Array(rows)
 }
@@ -727,14 +573,16 @@ fn bench_vectored_io() -> Value {
 }
 
 /// Blackout-window measurement for the live-replacement protocol: for
-/// each workload thread count, a mixed read/write/stat workload hammers
+/// each workload thread count, the [`sk_bench::mix::swap`] mix hammers
 /// the VFS while two back-to-back
 /// [`Migrator`](sk_vfs::migrate::Migrator) swaps run (cext4 → rsfs,
 /// then rsfs → a fresh cext4). Reported per row: the gate-closed window
 /// in µs per swap (single-shot wall clock — a swap is not repeatable on
 /// the same state), ops completed, and `failed_ops`, which the drift
-/// gate pins to zero: a blackout is a *stall*, never an error. Workload
-/// seeds derive from the one stamped engine seed.
+/// gate pins to zero: a blackout is a *stall*, never an error. A call
+/// fails on an error or on a wrong length, tail or size, and a failed
+/// end-of-run state check counts once more. Workload seeds derive from
+/// the one stamped engine seed.
 fn bench_hot_swap(thread_counts: &[usize]) -> Value {
     use sk_core::modularity::Registry;
     use sk_ksim::scenario::{subsys, ScenarioEngine};
@@ -742,7 +590,6 @@ fn bench_hot_swap(thread_counts: &[usize]) -> Value {
     use sk_vfs::path::{Vfs, FS_INTERFACE};
 
     const ENGINE_SEED: u64 = 42;
-    const FILES_PER_DIR: usize = 24;
 
     let mut rows = Vec::new();
     for &threads in thread_counts {
@@ -758,40 +605,19 @@ fn bench_hot_swap(thread_counts: &[usize]) -> Value {
             )
             .expect("register");
         let vfs = Arc::new(Vfs::mount(&registry).expect("mount vfs"));
-        for d in 0..2 {
-            vfs.mkdir(&format!("/d{d}")).unwrap();
-            for f in 0..FILES_PER_DIR {
-                let path = format!("/d{d}/f{f}");
-                vfs.create(&path).unwrap();
-                vfs.write_file(&path, 0, &vec![0xA5u8; 256]).unwrap();
-            }
-        }
+        swap::populate(&vfs).expect("populate");
 
         let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
         let mut workers = Vec::new();
         for _ in 0..threads {
             let vfs = Arc::clone(&vfs);
             let stop = Arc::clone(&stop);
-            let mut x = ws.gen_u64() | 1;
+            let mut w = swap::Worker::new(ws.gen_u64() | 1);
             workers.push(std::thread::spawn(move || {
-                let mut ops = 0u64;
-                let mut failed = 0u64;
                 while !stop.load(std::sync::atomic::Ordering::Relaxed) {
-                    x ^= x << 13;
-                    x ^= x >> 7;
-                    x ^= x << 17;
-                    let path = format!("/d{}/f{}", x % 2, (x >> 8) as usize % FILES_PER_DIR);
-                    let r = match x % 4 {
-                        0 => vfs.write_file(&path, 0, &x.to_le_bytes()).map(|_| ()),
-                        1 => vfs.stat(&path).map(|_| ()),
-                        _ => vfs.read_file(&path).map(|_| ()),
-                    };
-                    if r.is_err() {
-                        failed += 1;
-                    }
-                    ops += 1;
+                    w.call(&vfs);
                 }
-                (ops, failed)
+                w
             }));
         }
 
@@ -809,12 +635,10 @@ fn bench_hot_swap(thread_counts: &[usize]) -> Value {
         std::thread::sleep(std::time::Duration::from_millis(10));
         stop.store(true, std::sync::atomic::Ordering::Relaxed);
 
-        let (mut ops, mut failed) = (0u64, 0u64);
-        for w in workers {
-            let (o, f) = w.join().unwrap();
-            ops += o;
-            failed += f;
-        }
+        let workers: Vec<swap::Worker> = workers.into_iter().map(|w| w.join().unwrap()).collect();
+        let ops: u64 = workers.iter().map(|w| w.ops).sum();
+        let failed = workers.iter().map(|w| w.failed).sum::<u64>()
+            + u64::from(!swap::state_ok(&vfs, &workers));
         let us = |ns: u64| ns as f64 / 1_000.0;
         rows.push(obj(vec![
             ("threads", num(threads as f64)),
@@ -863,8 +687,8 @@ fn bench_hot_swap(thread_counts: &[usize]) -> Value {
 fn bench_lockdep(threads: usize) -> Value {
     const FILES_PER_THREAD: usize = 24;
     let dev: Arc<dyn BlockDevice> = Arc::new(RamDisk::new(16384));
-    sk_fs_safe::rsfs::Rsfs::mkfs(&dev, 1024, 128).expect("mkfs");
-    let fs = Arc::new(sk_fs_safe::rsfs::Rsfs::mount(dev, JournalMode::PerOp).expect("mount"));
+    Rsfs::mkfs(&dev, 1024, 128).expect("mkfs");
+    let fs = Arc::new(Rsfs::mount(dev, JournalMode::PerOp).expect("mount"));
     let root = fs.root_ino();
     let t0 = Instant::now();
     let mut handles = Vec::new();
@@ -964,12 +788,6 @@ mod crashbench {
     use sk_vfs::modular::FileSystem;
     use std::sync::Arc;
 
-    fn crash_device() -> (Arc<RamDisk>, Arc<CrashDevice<Arc<RamDisk>>>) {
-        let ram = Arc::new(RamDisk::new(2048));
-        let crash = Arc::new(CrashDevice::new(Arc::clone(&ram)));
-        (ram, crash)
-    }
-
     fn policy_name(p: CrashPolicy) -> &'static str {
         match p {
             CrashPolicy::Prefixes => "prefixes",
@@ -1028,6 +846,42 @@ mod crashbench {
         Ok(())
     }
 
+    /// One enumeration row: formats a fresh crash-recording device with
+    /// `mkfs`, runs `schedule` on it, then explodes every barrier
+    /// interval the schedule left under `policy` and judges each image
+    /// with the judge `schedule` returned.
+    fn enumerate<J: Fn(&[u8]) -> Result<(), String>>(
+        fs: &str,
+        policy: CrashPolicy,
+        mkfs: impl FnOnce(&Arc<dyn BlockDevice>),
+        schedule: impl FnOnce(Arc<dyn BlockDevice>) -> J,
+    ) -> Value {
+        let ram = Arc::new(RamDisk::new(2048));
+        let crash = Arc::new(CrashDevice::new(Arc::clone(&ram)));
+        let dev: Arc<dyn BlockDevice> = Arc::clone(&crash) as Arc<dyn BlockDevice>;
+        mkfs(&dev);
+        let base = ram.snapshot();
+        crash.take_barriers();
+        let judge = schedule(dev);
+        let barriers = crash.take_barriers();
+        let (mut checked, mut failures) = (0, 0);
+        for (_, _, img) in barrier_images(&base, &barriers, BLOCK_SIZE, policy) {
+            checked += 1;
+            failures += usize::from(judge(&img).is_err());
+        }
+        println!(
+            "crash_consistency {fs:<12} {:<8}: {checked} images, {failures} failures",
+            policy_name(policy)
+        );
+        obj(vec![
+            ("fs", Value::String(fs.into())),
+            ("policy", Value::String(policy_name(policy).into())),
+            ("barrier_intervals", num(barriers.len() as f64)),
+            ("images_checked", num(checked as f64)),
+            ("recovery_failures", num(failures as f64)),
+        ])
+    }
+
     pub fn bench_crash_consistency() -> Value {
         let policies = [
             CrashPolicy::Prefixes,
@@ -1039,70 +893,41 @@ mod crashbench {
         for policy in policies {
             // rsfs+journal: create → write → sync (commit, commit,
             // checkpoint barriers), judged against the op history.
-            let (ram, crash) = crash_device();
-            let dev: Arc<dyn BlockDevice> = Arc::clone(&crash) as Arc<dyn BlockDevice>;
-            Rsfs::mkfs(&dev, 128, 64).expect("mkfs");
-            let base = ram.snapshot();
-            crash.take_barriers();
-            let fs = Rsfs::mount(dev, JournalMode::PerOp).expect("mount");
-            let mut models = vec![fs.abstraction()];
-            let ino = fs.create(fs.root_ino(), "bench").unwrap();
-            models.push(fs.abstraction());
-            fs.write(ino, 0, &vec![0x5Au8; BLOCK_SIZE + 100]).unwrap();
-            models.push(fs.abstraction());
-            fs.sync().unwrap();
-            let barriers = crash.take_barriers();
-            let (mut checked, mut failures) = (0, 0);
-            for (_, _, img) in barrier_images(&base, &barriers, BLOCK_SIZE, policy) {
-                checked += 1;
-                failures += usize::from(judge_rsfs(&img, &models).is_err());
-            }
-            println!(
-                "crash_consistency rsfs+journal {:<8}: {checked} images, {failures} failures",
-                policy_name(policy)
-            );
-            rows.push(obj(vec![
-                ("fs", Value::String("rsfs+journal".into())),
-                ("policy", Value::String(policy_name(policy).into())),
-                ("barrier_intervals", num(barriers.len() as f64)),
-                ("images_checked", num(checked as f64)),
-                ("recovery_failures", num(failures as f64)),
-            ]));
-
+            rows.push(enumerate(
+                "rsfs+journal",
+                policy,
+                |dev| Rsfs::mkfs(dev, 128, 64).expect("mkfs"),
+                |dev| {
+                    let fs = Rsfs::mount(dev, JournalMode::PerOp).expect("mount");
+                    let mut models = vec![fs.abstraction()];
+                    let ino = fs.create(fs.root_ino(), "bench").unwrap();
+                    models.push(fs.abstraction());
+                    fs.write(ino, 0, &vec![0x5Au8; BLOCK_SIZE + 100]).unwrap();
+                    models.push(fs.abstraction());
+                    fs.sync().unwrap();
+                    move |img: &[u8]| judge_rsfs(img, &models)
+                },
+            ));
             // cext4: the same schedule shape, held to the weak judge.
-            let (ram, crash) = crash_device();
-            let dev: Arc<dyn BlockDevice> = Arc::clone(&crash) as Arc<dyn BlockDevice>;
-            Cext4::mkfs(&dev, 128).expect("mkfs");
-            let base = ram.snapshot();
-            crash.take_barriers();
-            let fs =
-                Cext4::mount(dev, LegacyCtx::new(), Arc::new(BugKnobs::none())).expect("mount");
-            let root = fs.root_ino();
-            let p = fs.create_errptr(root, "bench", 0o100644).check().unwrap();
-            let ino = fs
-                .ctx()
-                .vp_take::<sk_vfs::inode::InodeNo>(p, "bench")
-                .unwrap();
-            fs.write_range(ino, 0, &vec![0x5Au8; BLOCK_SIZE + 100])
-                .unwrap();
-            fs.sync_inner().unwrap();
-            let barriers = crash.take_barriers();
-            let (mut checked, mut failures) = (0, 0);
-            for (_, _, img) in barrier_images(&base, &barriers, BLOCK_SIZE, policy) {
-                checked += 1;
-                failures += usize::from(judge_cext4(&img).is_err());
-            }
-            println!(
-                "crash_consistency cext4        {:<8}: {checked} images, {failures} failures",
-                policy_name(policy)
-            );
-            rows.push(obj(vec![
-                ("fs", Value::String("cext4".into())),
-                ("policy", Value::String(policy_name(policy).into())),
-                ("barrier_intervals", num(barriers.len() as f64)),
-                ("images_checked", num(checked as f64)),
-                ("recovery_failures", num(failures as f64)),
-            ]));
+            rows.push(enumerate(
+                "cext4",
+                policy,
+                |dev| Cext4::mkfs(dev, 128).expect("mkfs"),
+                |dev| {
+                    let fs = Cext4::mount(dev, LegacyCtx::new(), Arc::new(BugKnobs::none()))
+                        .expect("mount");
+                    let root = fs.root_ino();
+                    let p = fs.create_errptr(root, "bench", 0o100644).check().unwrap();
+                    let ino = fs
+                        .ctx()
+                        .vp_take::<sk_vfs::inode::InodeNo>(p, "bench")
+                        .unwrap();
+                    fs.write_range(ino, 0, &vec![0x5Au8; BLOCK_SIZE + 100])
+                        .unwrap();
+                    fs.sync_inner().unwrap();
+                    judge_cext4
+                },
+            ));
         }
 
         // Adversarial disk-fault soak: raw FaultyDisk IO at the
@@ -1182,6 +1007,7 @@ mod crashbench {
 /// TCP hardening had to work to get it across.
 mod netbench {
     use super::{num, obj, Value};
+    use sk_bench::net::NetStack;
     use sk_core::modularity::Registry;
     use sk_ksim::scenario::ScenarioEngine;
     use sk_ksim::time::SimClock;
@@ -1189,99 +1015,10 @@ mod netbench {
     use sk_netstack::fault::{FaultConfig, FaultyLink};
     use sk_netstack::legacy_stack::LegacyStack;
     use sk_netstack::modular_stack::{register_families, ModularStack};
-    use sk_netstack::packet::proto;
-    use sk_netstack::tcp::{TcpCounters, DEFAULT_RTO_NS};
+    use sk_netstack::tcp::DEFAULT_RTO_NS;
     use sk_netstack::wire::Side;
     use std::sync::Arc;
     use std::time::Instant;
-
-    /// The least common denominator of the two socket layers — only
-    /// socket creation differs between generations.
-    trait NetStack {
-        fn tcp_socket(&self, port: u16) -> u64;
-        fn listen(&self, fd: u64);
-        fn listen_backlog(&self, fd: u64, backlog: usize);
-        fn accept(&self, fd: u64) -> Option<u64>;
-        fn connect(&self, fd: u64, port: u16);
-        fn try_send(&self, fd: u64, dst: u16, data: &[u8]) -> bool;
-        fn recv(&self, fd: u64) -> Vec<u8>;
-        fn pump(&self);
-        fn tick(&self);
-        fn conn_failed(&self, fd: u64) -> bool;
-        fn counters(&self, fd: u64) -> TcpCounters;
-    }
-
-    impl NetStack for LegacyStack {
-        fn tcp_socket(&self, port: u16) -> u64 {
-            self.socket(proto::TCP, port).unwrap()
-        }
-        fn listen(&self, fd: u64) {
-            LegacyStack::listen(self, fd).unwrap()
-        }
-        fn listen_backlog(&self, fd: u64, backlog: usize) {
-            LegacyStack::listen_backlog(self, fd, backlog).unwrap()
-        }
-        fn accept(&self, fd: u64) -> Option<u64> {
-            LegacyStack::accept(self, fd).unwrap()
-        }
-        fn connect(&self, fd: u64, port: u16) {
-            LegacyStack::connect(self, fd, port).unwrap()
-        }
-        fn try_send(&self, fd: u64, dst: u16, data: &[u8]) -> bool {
-            LegacyStack::send(self, fd, dst, data).is_ok()
-        }
-        fn recv(&self, fd: u64) -> Vec<u8> {
-            LegacyStack::recv(self, fd).unwrap_or_default()
-        }
-        fn pump(&self) {
-            LegacyStack::pump(self).unwrap();
-        }
-        fn tick(&self) {
-            LegacyStack::tick(self)
-        }
-        fn conn_failed(&self, fd: u64) -> bool {
-            LegacyStack::conn_failed(self, fd).unwrap_or(false)
-        }
-        fn counters(&self, fd: u64) -> TcpCounters {
-            self.tcp_counters(fd).unwrap_or_default()
-        }
-    }
-
-    impl NetStack for ModularStack {
-        fn tcp_socket(&self, port: u16) -> u64 {
-            self.socket("tcp", port).unwrap()
-        }
-        fn listen(&self, fd: u64) {
-            ModularStack::listen(self, fd).unwrap()
-        }
-        fn listen_backlog(&self, fd: u64, backlog: usize) {
-            ModularStack::listen_backlog(self, fd, backlog).unwrap()
-        }
-        fn accept(&self, fd: u64) -> Option<u64> {
-            ModularStack::accept(self, fd).unwrap()
-        }
-        fn connect(&self, fd: u64, port: u16) {
-            ModularStack::connect(self, fd, port).unwrap()
-        }
-        fn try_send(&self, fd: u64, dst: u16, data: &[u8]) -> bool {
-            ModularStack::send(self, fd, dst, data).is_ok()
-        }
-        fn recv(&self, fd: u64) -> Vec<u8> {
-            ModularStack::recv(self, fd).unwrap_or_default()
-        }
-        fn pump(&self) {
-            ModularStack::pump(self).unwrap();
-        }
-        fn tick(&self) {
-            ModularStack::tick(self)
-        }
-        fn conn_failed(&self, fd: u64) -> bool {
-            ModularStack::conn_failed(self, fd).unwrap_or(false)
-        }
-        fn counters(&self, fd: u64) -> TcpCounters {
-            self.tcp_counters(fd).unwrap_or_default()
-        }
-    }
 
     // Large enough that the clean run takes ~10ms of wall time: the
     // CI drift gate compares wall-clock throughput against the
@@ -1289,16 +1026,47 @@ mod netbench {
     const STREAM_BYTES: usize = 2 * 1024 * 1024;
     const CHUNK: usize = 4096;
     const SEED: u64 = 42;
+    const GENERATIONS: [&str; 2] = ["legacy", "modular"];
 
-    fn drive<S: NetStack>(
-        generation: &str,
-        profile: &str,
-        cfg: FaultConfig,
-        client: &S,
-        server: &S,
-        clock: &SimClock,
-        link: &FaultyLink,
-    ) -> Value {
+    /// Both ends of one socket-layer generation over their own
+    /// engine-seeded link: the stamped engine seed replays the exact
+    /// fault schedule of any row.
+    struct Pair {
+        client: Box<dyn NetStack>,
+        server: Box<dyn NetStack>,
+        clock: Arc<SimClock>,
+        link: Arc<FaultyLink>,
+    }
+
+    fn pair(generation: &str, cfg: FaultConfig) -> Pair {
+        let clock = Arc::new(SimClock::new());
+        let engine = ScenarioEngine::with_clock(SEED, Arc::clone(&clock));
+        let link = Arc::new(FaultyLink::on_engine(cfg, &engine));
+        let (client, server): (Box<dyn NetStack>, Box<dyn NetStack>) = if generation == "legacy" {
+            let side = |side| LegacyStack::new(LegacyCtx::new(), side, link.clone(), clock.clone());
+            (Box::new(side(Side::A)), Box::new(side(Side::B)))
+        } else {
+            let registry = Arc::new(Registry::new());
+            register_families(&registry).unwrap();
+            let side =
+                |side| ModularStack::new(registry.clone(), side, link.clone(), clock.clone());
+            (Box::new(side(Side::A)), Box::new(side(Side::B)))
+        };
+        Pair {
+            client,
+            server,
+            clock,
+            link,
+        }
+    }
+
+    fn drive(generation: &str, profile: &str, cfg: FaultConfig) -> Value {
+        let Pair {
+            client,
+            server,
+            clock,
+            link,
+        } = pair(generation, cfg);
         let sfd = server.tcp_socket(80);
         server.listen(sfd);
         let cfd = client.tcp_socket(5000);
@@ -1389,15 +1157,17 @@ mod netbench {
     /// All latency/throughput figures are SIM time (deterministic under
     /// the engine seed); wall_ns is the host-side cost of the run and is
     /// the only nondeterministic field.
-    fn drive_many<S: NetStack>(
+    fn drive_many(
         generation: &str,
         (profile, cfg): (&str, FaultConfig),
         conns: usize,
-        client: &S,
-        server: &S,
-        clock: &SimClock,
-        link: &FaultyLink,
     ) -> ManyOutcome {
+        let Pair {
+            client,
+            server,
+            clock,
+            link,
+        } = pair(generation, cfg);
         let sfd = server.tcp_socket(80);
         server.listen_backlog(sfd, conns);
         let payload: Vec<u8> = (0..MANY_PAYLOAD).map(|i| (i * 13) as u8).collect();
@@ -1550,29 +1320,8 @@ mod netbench {
                 continue;
             }
             for (name, cfg) in profiles {
-                let clock = Arc::new(SimClock::new());
-                let engine = ScenarioEngine::with_clock(SEED, Arc::clone(&clock));
-                let link = Arc::new(FaultyLink::on_engine(cfg, &engine));
-                let a =
-                    LegacyStack::new(LegacyCtx::new(), Side::A, link.clone(), Arc::clone(&clock));
-                let b =
-                    LegacyStack::new(LegacyCtx::new(), Side::B, link.clone(), Arc::clone(&clock));
-                let legacy = drive_many("legacy", (name, cfg), conns, &a, &b, &clock, &link);
-
-                let clock = Arc::new(SimClock::new());
-                let engine = ScenarioEngine::with_clock(SEED, Arc::clone(&clock));
-                let link = Arc::new(FaultyLink::on_engine(cfg, &engine));
-                let registry = Arc::new(Registry::new());
-                register_families(&registry).unwrap();
-                let a = ModularStack::new(
-                    Arc::clone(&registry),
-                    Side::A,
-                    link.clone(),
-                    Arc::clone(&clock),
-                );
-                let b = ModularStack::new(registry, Side::B, link.clone(), Arc::clone(&clock));
-                let modular = drive_many("modular", (name, cfg), conns, &a, &b, &clock, &link);
-
+                let [legacy, modular] =
+                    GENERATIONS.map(|generation| drive_many(generation, (name, cfg), conns));
                 let verdicts_match = (legacy.accepted, legacy.failed, legacy.delivered)
                     == (modular.accepted, modular.failed, modular.delivered);
                 if !verdicts_match {
@@ -1607,28 +1356,9 @@ mod netbench {
         ];
         let mut rows = Vec::new();
         for (name, cfg) in profiles {
-            // Both generations run over an engine-seeded link: the stamped
-            // engine seed replays the exact fault schedule of any row.
-            let clock = Arc::new(SimClock::new());
-            let engine = ScenarioEngine::with_clock(SEED, Arc::clone(&clock));
-            let link = Arc::new(FaultyLink::on_engine(cfg, &engine));
-            let a = LegacyStack::new(LegacyCtx::new(), Side::A, link.clone(), Arc::clone(&clock));
-            let b = LegacyStack::new(LegacyCtx::new(), Side::B, link.clone(), Arc::clone(&clock));
-            rows.push(drive("legacy", name, cfg, &a, &b, &clock, &link));
-
-            let clock = Arc::new(SimClock::new());
-            let engine = ScenarioEngine::with_clock(SEED, Arc::clone(&clock));
-            let link = Arc::new(FaultyLink::on_engine(cfg, &engine));
-            let registry = Arc::new(Registry::new());
-            register_families(&registry).unwrap();
-            let a = ModularStack::new(
-                Arc::clone(&registry),
-                Side::A,
-                link.clone(),
-                Arc::clone(&clock),
-            );
-            let b = ModularStack::new(registry, Side::B, link.clone(), Arc::clone(&clock));
-            rows.push(drive("modular", name, cfg, &a, &b, &clock, &link));
+            for generation in GENERATIONS {
+                rows.push(drive(generation, name, cfg));
+            }
         }
         Value::Array(rows)
     }

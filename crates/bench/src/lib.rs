@@ -17,9 +17,17 @@
 //! - `fs_throughput` — cext4 vs rsfs vs rsfs+journal per operation.
 //! - `netstack_overhead` — legacy vs modular socket layer.
 //! - `shim_overhead` — operations crossing 0/1/2 shim boundaries.
+//!
+//! Library modules shared by `bench_report` and the test suites:
+//!
+//! - [`mix`] — each workload defined once, with its checks;
+//! - [`net`] — the socket-layer adapter over both netstack generations.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+
+pub mod mix;
+pub mod net;
 
 use std::path::Path;
 use std::sync::Arc;

@@ -26,6 +26,7 @@ use sk_vfs::inode::{Attr, FileType, Inode, InodeNo};
 use sk_vfs::modular::{
     fs_abstraction, validate_name, BatchOp, BatchReply, DirEntry, FileSystem, StatFs, WriteCtx,
 };
+use sk_vfs::ring::RingThrottle;
 use sk_vfs::spec::FsModel;
 
 use crate::journal::Journal;
@@ -982,6 +983,23 @@ impl Rsfs {
         match &self.journal {
             Some(j) => j.checkpoint(max_txns),
             None => Ok(0),
+        }
+    }
+
+    /// The log-pressure throttle a ring reactor runs in front of `fs`:
+    /// admission stalls once the journal is `threshold` full, and relief
+    /// commits the running transaction, then checkpoints everything
+    /// committed. Without a journal the pressure reads 0.
+    pub fn ring_throttle(fs: &Arc<Rsfs>, threshold: f32) -> RingThrottle {
+        let pressure_fs = Arc::clone(fs);
+        let relieve_fs = Arc::clone(fs);
+        RingThrottle {
+            pressure: Box::new(move || pressure_fs.journal().map_or(0.0, |j| j.log_pressure())),
+            relieve: Box::new(move || {
+                let _ = relieve_fs.commit_running();
+                let _ = relieve_fs.checkpoint(usize::MAX);
+            }),
+            threshold,
         }
     }
 

@@ -278,21 +278,27 @@ pub trait FileSystem: Send + Sync {
     /// [`BatchOp::Fsync`] must act as a durability point for every
     /// earlier op in the batch.
     fn submit_batch(&self, ops: Vec<BatchOp>) -> Vec<BatchReply> {
-        ops.into_iter()
-            .map(|op| match op {
-                BatchOp::Create { dir, name } => BatchReply::Create(self.create(dir, &name)),
-                BatchOp::Write { ino, off, data } => {
-                    let result = self.write(ino, off, &data);
-                    BatchReply::Write { result, buf: data }
-                }
-                BatchOp::Read { ino, off, mut buf } => {
-                    let result = self.read(ino, off, &mut buf);
-                    BatchReply::Read { result, buf }
-                }
-                BatchOp::Fsync { ino } => BatchReply::Fsync(self.fsync(ino)),
-                BatchOp::Unlink { dir, name } => BatchReply::Unlink(self.unlink(dir, &name)),
-            })
-            .collect()
+        ops.into_iter().map(|op| dispatch(self, op)).collect()
+    }
+}
+
+/// Runs one typed op through `fs`'s per-call interface and wraps the
+/// result in its reply — the default [`FileSystem::submit_batch`] one op
+/// at a time, and the per-call path of a harness that drives the same
+/// op stream both ways.
+pub fn dispatch<F: FileSystem + ?Sized>(fs: &F, op: BatchOp) -> BatchReply {
+    match op {
+        BatchOp::Create { dir, name } => BatchReply::Create(fs.create(dir, &name)),
+        BatchOp::Write { ino, off, data } => {
+            let result = fs.write(ino, off, &data);
+            BatchReply::Write { result, buf: data }
+        }
+        BatchOp::Read { ino, off, mut buf } => {
+            let result = fs.read(ino, off, &mut buf);
+            BatchReply::Read { result, buf }
+        }
+        BatchOp::Fsync { ino } => BatchReply::Fsync(fs.fsync(ino)),
+        BatchOp::Unlink { dir, name } => BatchReply::Unlink(fs.unlink(dir, &name)),
     }
 }
 

@@ -40,7 +40,9 @@ Storage mode gates the hot_swap section of BENCH_storage.json:
   draining through a sleep loop.  Best sample per thread count wins.
 
 Storage mode also gates the ring_throughput reactors x depth sweep when
-the baseline carries it: the best ring row may not regress more than 10%
+the baseline carries it: every fresh row (per-call and ring) must report
+failed_ops == 0, so no row times a run whose replies or end state were
+wrong; the best ring row may not regress more than 10%
 below the committed best, no row's p99 may double, and the best
 multi-reactor row must structurally beat both the single-reactor
 depth-1024 row and the per-call path in every fresh report.  Fresh
@@ -193,6 +195,9 @@ def ring_rows(report):
 def check_ring(baseline_path, baseline, fresh_runs, tolerance):
     """Gates the reactors x depth ring sweep:
 
+    * every fresh row, per-call and ring, must report failed_ops == 0:
+      the rows time a checked mix, and a row with a failed reply or end
+      state measured a broken run;
     * the best ring ops/s row may not regress more than `tolerance`
       below the committed baseline's best row (best fresh sample wins);
     * no (reactors, depth) row's p99 may blow up past 2x its baseline
@@ -220,6 +225,13 @@ def check_ring(baseline_path, baseline, fresh_runs, tolerance):
         if per_call is None or not ring:
             failures.append(f"ring_throughput: incomplete section in {path}")
             continue
+        for row in [per_call, *ring.values()]:
+            if row.get("failed_ops") != 0:
+                failures.append(
+                    f"ring_throughput[{row['mode']} {row.get('reactors', '-')}x"
+                    f"{row.get('depth', '-')}]: {row.get('failed_ops')} failed ops in "
+                    f"{path} (the mix's replies and end state must all check)"
+                )
         for key, base_row in base_ring.items():
             if key not in ring:
                 failures.append(

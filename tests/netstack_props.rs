@@ -16,6 +16,7 @@ use safer_kernel::netstack::packet::{flags, proto, Packet, HEADER_LEN, MAX_PAYLO
 use safer_kernel::netstack::spec::StreamChecker;
 use safer_kernel::netstack::tcp::{TcpListener, TcpPcb, TcpState, DEFAULT_RTO_NS};
 use safer_kernel::netstack::wire::{Side, Wire, WireFaults};
+use sk_bench::net::NetStack;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -198,95 +199,6 @@ proptest! {
 // The adversarial-link soak: both socket-layer generations over FaultyLink.
 // ---------------------------------------------------------------------------
 
-/// The least common denominator of the two socket layers, just enough to
-/// drive a client/server soak generically. Both stacks expose the same
-/// surface; only socket creation differs (protocol byte vs family name).
-trait SoakStack {
-    fn tcp_socket(&self, port: u16) -> u64;
-    fn listen(&self, fd: u64);
-    fn accept(&self, fd: u64) -> Option<u64>;
-    fn connect(&self, fd: u64, port: u16);
-    fn try_send(&self, fd: u64, dst: u16, data: &[u8]) -> bool;
-    fn recv(&self, fd: u64) -> Vec<u8>;
-    fn pump(&self);
-    fn tick(&self);
-    fn conn_failed(&self, fd: u64) -> bool;
-    fn retransmits(&self, fd: u64) -> u64;
-    fn reap(&self) -> usize;
-}
-
-impl SoakStack for LegacyStack {
-    fn tcp_socket(&self, port: u16) -> u64 {
-        self.socket(proto::TCP, port).unwrap()
-    }
-    fn listen(&self, fd: u64) {
-        LegacyStack::listen(self, fd).unwrap()
-    }
-    fn accept(&self, fd: u64) -> Option<u64> {
-        LegacyStack::accept(self, fd).unwrap()
-    }
-    fn connect(&self, fd: u64, port: u16) {
-        LegacyStack::connect(self, fd, port).unwrap()
-    }
-    fn try_send(&self, fd: u64, dst: u16, data: &[u8]) -> bool {
-        LegacyStack::send(self, fd, dst, data).is_ok()
-    }
-    fn recv(&self, fd: u64) -> Vec<u8> {
-        LegacyStack::recv(self, fd).unwrap_or_default()
-    }
-    fn pump(&self) {
-        LegacyStack::pump(self).unwrap();
-    }
-    fn tick(&self) {
-        LegacyStack::tick(self)
-    }
-    fn conn_failed(&self, fd: u64) -> bool {
-        LegacyStack::conn_failed(self, fd).unwrap_or(false)
-    }
-    fn retransmits(&self, fd: u64) -> u64 {
-        self.tcp_counters(fd).map(|c| c.retransmits).unwrap_or(0)
-    }
-    fn reap(&self) -> usize {
-        self.reap_closed()
-    }
-}
-
-impl SoakStack for ModularStack {
-    fn tcp_socket(&self, port: u16) -> u64 {
-        self.socket("tcp", port).unwrap()
-    }
-    fn listen(&self, fd: u64) {
-        ModularStack::listen(self, fd).unwrap()
-    }
-    fn accept(&self, fd: u64) -> Option<u64> {
-        ModularStack::accept(self, fd).unwrap()
-    }
-    fn connect(&self, fd: u64, port: u16) {
-        ModularStack::connect(self, fd, port).unwrap()
-    }
-    fn try_send(&self, fd: u64, dst: u16, data: &[u8]) -> bool {
-        ModularStack::send(self, fd, dst, data).is_ok()
-    }
-    fn recv(&self, fd: u64) -> Vec<u8> {
-        ModularStack::recv(self, fd).unwrap_or_default()
-    }
-    fn pump(&self) {
-        ModularStack::pump(self).unwrap();
-    }
-    fn tick(&self) {
-        ModularStack::tick(self)
-    }
-    fn conn_failed(&self, fd: u64) -> bool {
-        ModularStack::conn_failed(self, fd).unwrap_or(false)
-    }
-    fn retransmits(&self, fd: u64) -> u64 {
-        self.tcp_counters(fd).map(|c| c.retransmits).unwrap_or(0)
-    }
-    fn reap(&self) -> usize {
-        self.reap_closed()
-    }
-}
-
 /// The soak outcome for one generation: what the checker saw.
 struct SoakOutcome {
     complete: bool,
@@ -299,7 +211,7 @@ struct SoakOutcome {
 /// Drives one client/server pair over the adversarial link until the byte
 /// stream completes, a side reports clean failure, or the round budget
 /// runs out.
-fn soak<C: SoakStack, S: SoakStack>(
+fn soak<C: NetStack, S: NetStack>(
     client: &C,
     server: &S,
     clock: &SimClock,
@@ -349,7 +261,7 @@ fn soak<C: SoakStack, S: SoakStack>(
         client.tick();
         server.tick();
     }
-    let retransmits = client.retransmits(cfd);
+    let retransmits = client.counters(cfd).retransmits;
     if client_failed {
         assert!(client.reap() >= 1, "failed client PCB must be reapable");
     }

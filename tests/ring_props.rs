@@ -35,9 +35,9 @@ use safer_kernel::ksim::block::{
     BlockDevice, CrashDevice, DiskFaultConfig, FaultyDisk, RamDisk, BLOCK_SIZE,
 };
 use safer_kernel::vfs::migrate::SwapGate;
-use safer_kernel::vfs::modular::{BatchOp, BatchReply, FileSystem};
+use safer_kernel::vfs::modular::{dispatch, BatchOp, BatchReply, FileSystem};
 use safer_kernel::vfs::path::FS_INTERFACE;
-use safer_kernel::vfs::ring::{Ring, RingReactor, RingThrottle};
+use safer_kernel::vfs::ring::{Ring, RingReactor};
 use safer_kernel::vfs::MemFs;
 
 fn mount_over_faulty(blocks: u64, mode: JournalMode) -> (Arc<FaultyDisk<Arc<RamDisk>>>, Arc<Rsfs>) {
@@ -271,24 +271,6 @@ fn eq_op() -> impl Strategy<Value = EqOp> {
         })
 }
 
-/// Applies `op` through the per-call `FileSystem` methods, shaped as the
-/// reply the batch path gives.
-fn apply_per_call(fs: &Rsfs, op: BatchOp) -> BatchReply {
-    match op {
-        BatchOp::Create { dir, name } => BatchReply::Create(fs.create(dir, &name)),
-        BatchOp::Unlink { dir, name } => BatchReply::Unlink(fs.unlink(dir, &name)),
-        BatchOp::Write { ino, off, data } => BatchReply::Write {
-            result: fs.write(ino, off, &data),
-            buf: data,
-        },
-        BatchOp::Read { ino, off, mut buf } => {
-            let result = fs.read(ino, off, &mut buf);
-            BatchReply::Read { result, buf }
-        }
-        BatchOp::Fsync { ino } => BatchReply::Fsync(fs.fsync(ino)),
-    }
-}
-
 /// A fresh mount with a directory `d` (inode 2) and a file `f` (inode 3)
 /// under the root.
 fn eq_mount(mode: JournalMode) -> Arc<Rsfs> {
@@ -319,7 +301,7 @@ proptest! {
             // (op index, ticket, per-call reply) of the open batch.
             let mut open = Vec::new();
             for (i, op) in ops.iter().enumerate() {
-                let want = apply_per_call(&per_call, op.to_batch());
+                let want = dispatch(&*per_call, op.to_batch());
                 open.push((i, ring.submit(op.to_batch()).unwrap(), want));
                 if cuts[i] || i + 1 == ops.len() {
                     prop_assert_eq!(ring.drain_once(&*batched), open.len());
@@ -429,24 +411,8 @@ proptest! {
         let (faulty, fs) = mount_over_faulty(4096, JournalMode::Async);
         let root = fs.root_ino();
         let ring = Arc::new(Ring::new(fs.lock_registry(), depth));
-        let fs_dyn: Arc<dyn FileSystem> = Arc::clone(&fs) as Arc<dyn FileSystem>;
-        let relieve_fs = Arc::clone(&fs);
-        let pressure_fs = Arc::clone(&fs);
-        let reactor = RingReactor::spawn_pool(
-            Arc::clone(&ring),
-            fs_dyn,
-            Some(Arc::new(RingThrottle {
-                pressure: Box::new(move || {
-                    pressure_fs.journal().map_or(0.0, |j| j.log_pressure())
-                }),
-                relieve: Box::new(move || {
-                    let _ = relieve_fs.commit_running();
-                    let _ = relieve_fs.checkpoint(usize::MAX);
-                }),
-                threshold: 0.5,
-            })),
-            1,
-        );
+        let throttle = Arc::new(Rsfs::ring_throttle(&fs, 0.5));
+        let reactor = RingReactor::spawn_pool(Arc::clone(&ring), fs.clone(), Some(throttle), 1);
         if let Some(n) = fail_write_at {
             faulty.fail_nth_write(n);
         }
@@ -553,22 +519,8 @@ fn slow_disk_backpressure_blocks_submitters() {
     });
 
     let ring = Arc::new(Ring::new(fs.lock_registry(), 8));
-    let fs_dyn: Arc<dyn FileSystem> = Arc::clone(&fs) as Arc<dyn FileSystem>;
-    let relieve_fs = Arc::clone(&fs);
-    let pressure_fs = Arc::clone(&fs);
-    let reactor = RingReactor::spawn_pool(
-        Arc::clone(&ring),
-        fs_dyn,
-        Some(Arc::new(RingThrottle {
-            pressure: Box::new(move || pressure_fs.journal().map_or(0.0, |j| j.log_pressure())),
-            relieve: Box::new(move || {
-                let _ = relieve_fs.commit_running();
-                let _ = relieve_fs.checkpoint(usize::MAX);
-            }),
-            threshold: 0.25,
-        })),
-        1,
-    );
+    let throttle = Arc::new(Rsfs::ring_throttle(&fs, 0.25));
+    let reactor = RingReactor::spawn_pool(Arc::clone(&ring), fs.clone(), Some(throttle), 1);
 
     let done = Arc::new(AtomicBool::new(false));
     // Sample journal pressure while the clients run: the running

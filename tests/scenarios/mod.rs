@@ -37,7 +37,7 @@ use safer_kernel::netstack::wire::{Link, Side};
 use safer_kernel::vfs::inode::FileType;
 use safer_kernel::vfs::migrate::{MigratePhase, Migrator};
 use safer_kernel::vfs::modular::{BatchOp, BatchReply};
-use safer_kernel::vfs::ring::{Ring, RingReactor, RingThrottle};
+use safer_kernel::vfs::ring::{Ring, RingReactor};
 
 // ---------------------------------------------------------------------------
 // Shared scenario plumbing
@@ -339,22 +339,8 @@ fn eio_ring_batch_commit_fsync_watermark(engine: &Arc<ScenarioEngine>) -> Result
     });
 
     let ring = Arc::new(Ring::new(fs.lock_registry(), 16));
-    let fs_dyn: Arc<dyn FileSystem> = Arc::clone(&fs) as Arc<dyn FileSystem>;
-    let pressure_fs = Arc::clone(&fs);
-    let relieve_fs = Arc::clone(&fs);
-    let reactor = RingReactor::spawn_pool(
-        Arc::clone(&ring),
-        fs_dyn,
-        Some(Arc::new(RingThrottle {
-            pressure: Box::new(move || pressure_fs.journal().map_or(0.0, |j| j.log_pressure())),
-            relieve: Box::new(move || {
-                let _ = relieve_fs.commit_running();
-                let _ = relieve_fs.checkpoint(usize::MAX);
-            }),
-            threshold: 0.5,
-        })),
-        1,
-    );
+    let throttle = Arc::new(Rsfs::ring_throttle(&fs, 0.5));
+    let reactor = RingReactor::spawn_pool(Arc::clone(&ring), fs.clone(), Some(throttle), 1);
 
     let mut models = vec![fs.abstraction()];
     let mut watermark = 0usize;

@@ -229,7 +229,7 @@ proptest! {
 fn ring_soak_over_transient_eio_is_lockdep_clean() {
     use safer_kernel::ksim::block::{DiskFaultConfig, FaultyDisk};
     use safer_kernel::vfs::modular::{BatchOp, BatchReply};
-    use safer_kernel::vfs::ring::{Ring, RingReactor, RingThrottle};
+    use safer_kernel::vfs::ring::{Ring, RingReactor};
 
     const CLIENTS: u64 = 8;
     const OPS_EACH: u64 = 200;
@@ -255,22 +255,8 @@ fn ring_soak_over_transient_eio_is_lockdep_clean() {
     });
 
     let ring = Arc::new(Ring::new(fs.lock_registry(), 64));
-    let fs_dyn: Arc<dyn FileSystem> = Arc::clone(&fs) as Arc<dyn FileSystem>;
-    let pressure_fs = Arc::clone(&fs);
-    let relieve_fs = Arc::clone(&fs);
-    let reactor = RingReactor::spawn_pool(
-        Arc::clone(&ring),
-        fs_dyn,
-        Some(Arc::new(RingThrottle {
-            pressure: Box::new(move || pressure_fs.journal().map_or(0.0, |j| j.log_pressure())),
-            relieve: Box::new(move || {
-                let _ = relieve_fs.commit_running();
-                let _ = relieve_fs.checkpoint(usize::MAX);
-            }),
-            threshold: 0.5,
-        })),
-        1,
-    );
+    let throttle = Arc::new(Rsfs::ring_throttle(&fs, 0.5));
+    let reactor = RingReactor::spawn_pool(Arc::clone(&ring), fs.clone(), Some(throttle), 1);
 
     let handles: Vec<_> = (0..CLIENTS)
         .map(|c| {
