@@ -66,6 +66,28 @@ fn best_wall_ns(runs: usize, mut f: impl FnMut()) -> u64 {
         .expect("at least one run")
 }
 
+/// Runs `op(thread, i)` for `i` in `0..ops` on each of `threads`
+/// threads at once; returns the best wall time of three rounds.
+fn run_threads(threads: usize, ops: usize, op: impl Fn(usize, usize) + Sync) -> u64 {
+    best_wall_ns(3, || {
+        std::thread::scope(|s| {
+            for t in 0..threads {
+                let op = &op;
+                s.spawn(move || (0..ops).for_each(|i| op(t, i)));
+            }
+        });
+    })
+}
+
+/// Blocks and names every thread of a `shared` variant reads: the
+/// hot-swap mix's pattern, where every call decodes an inode from one
+/// inode-table block and walks the same two directory dentries.
+const SHARED_KEYS: usize = 32;
+
+/// Ops per thread in a `shared` variant: enough that a round lasts tens
+/// of milliseconds, so thread start-up does not swamp a cost of ~100 ns.
+const SHARED_OPS: usize = 200_000;
+
 /// Metadata-churn workload over one shared buffer cache, repeated for
 /// each shard count: every op is a `getblk` miss (insert + LRU eviction
 /// under the shard's exclusive lock) on a per-thread block range. This is
@@ -76,46 +98,51 @@ fn bench_buffer_cache(shard_counts: &[usize], threads: usize) -> Value {
     const RANGE_PER_THREAD: u64 = 512;
     let mut rows = Vec::new();
     for &shards in shard_counts {
-        // Two variants per shard count. "evicting": capacity far below the
-        // working set, so every op inserts and evicts under the shard's
-        // write lock — the lock-contention worst case. "resident": capacity
-        // covers the working set and a warm-up pass pre-faults it, so the
-        // steady state is all hits — the read-lock fast path the hit
-        // counter was previously never exercising.
-        for resident in [false, true] {
-            let dev: Arc<dyn BlockDevice> =
-                Arc::new(RamDisk::new(threads as u64 * RANGE_PER_THREAD + 8));
-            let capacity = if resident {
-                threads * RANGE_PER_THREAD as usize + 64
-            } else {
-                64
+        // Three variants per shard count. "evicting": capacity far below
+        // the working set, so every op inserts and evicts under the
+        // shard's write lock — the lock-contention worst case.
+        // "resident": capacity covers the working set and a warm-up pass
+        // pre-faults it, so the steady state is all hits — the read-lock
+        // fast path. "shared": every thread `bread`s the same 32 cached
+        // blocks and reads a byte, at 1 thread and at `threads`, so the
+        // pair shows whether a hit writes lines the threads share.
+        let variants = [
+            ("evicting", threads),
+            ("resident", threads),
+            ("shared", 1),
+            ("shared", threads),
+        ];
+        for (variant, threads) in variants {
+            let blocks = match variant {
+                "shared" => SHARED_KEYS as u64,
+                _ => threads as u64 * RANGE_PER_THREAD,
             };
-            let cache = Arc::new(BufferCache::with_shards(dev, capacity, shards));
-            if resident {
-                for blk in 0..threads as u64 * RANGE_PER_THREAD {
-                    cache.getblk(blk).unwrap();
+            let dev: Arc<dyn BlockDevice> = Arc::new(RamDisk::new(blocks + 8));
+            let capacity = match variant {
+                "evicting" => 64,
+                _ => blocks as usize + 64,
+            };
+            let cache = BufferCache::with_shards(dev, capacity, shards);
+            if variant != "evicting" {
+                for blk in 0..blocks {
+                    cache.bread(blk).unwrap();
                 }
             }
-            let wall_ns = best_wall_ns(3, || {
-                let mut handles = Vec::new();
-                for t in 0..threads {
-                    let cache = Arc::clone(&cache);
-                    handles.push(std::thread::spawn(move || {
-                        let base = t as u64 * RANGE_PER_THREAD;
-                        for i in 0..OPS_PER_THREAD {
-                            let blk = base + (i as u64 % RANGE_PER_THREAD);
-                            let buf = cache.getblk(blk).unwrap();
-                            std::hint::black_box(buf.read(|d| d[0]));
-                        }
-                    }));
-                }
-                for h in handles {
-                    h.join().unwrap();
-                }
+            let ops = match variant {
+                "shared" => SHARED_OPS,
+                _ => OPS_PER_THREAD,
+            };
+            let wall_ns = run_threads(threads, ops, |t, i| {
+                let buf = if variant == "shared" {
+                    cache.bread((i * 13 + t) as u64 % blocks).unwrap()
+                } else {
+                    let base = t as u64 * RANGE_PER_THREAD;
+                    cache.getblk(base + (i as u64 % RANGE_PER_THREAD)).unwrap()
+                };
+                std::hint::black_box(buf.read(|d| d[0]));
             });
-            let total_ops = (threads * OPS_PER_THREAD) as f64;
+            let total_ops = (threads * ops) as f64;
             let s = cache.stats();
-            let variant = if resident { "resident" } else { "evicting" };
             rows.push(obj(vec![
                 ("estimator", Value::String("min-of-3".into())),
                 ("variant", Value::String(variant.to_string())),
@@ -144,51 +171,48 @@ fn bench_buffer_cache(shard_counts: &[usize], threads: usize) -> Value {
 
 /// Same ablation for the dcache: path-component lookups are short
 /// critical sections on a Mutex, so striping is the whole ballgame.
+/// "private": each thread looks up 32 names in its own directory.
+/// "shared": every thread looks up the same 32 names in one directory,
+/// at 1 thread and at `threads`.
 fn bench_dcache(shard_counts: &[usize], threads: usize) -> Value {
     const OPS_PER_THREAD: usize = 20_000;
-    const NAMES_PER_THREAD: u64 = 32;
+    let names: Vec<String> = (0..SHARED_KEYS).map(|i| format!("n{i}")).collect();
     let mut rows = Vec::new();
     for &shards in shard_counts {
-        let dcache = Arc::new(Dcache::with_shards(
-            threads * NAMES_PER_THREAD as usize,
-            shards,
-        ));
-        for t in 0..threads as u64 {
-            for i in 0..NAMES_PER_THREAD {
-                dcache.insert(t, &format!("n{i}"), t * 100 + i);
+        for (variant, threads) in [("private", threads), ("shared", 1), ("shared", threads)] {
+            let dirs = if variant == "shared" { 1 } else { threads };
+            let dcache = Dcache::with_shards(dirs * SHARED_KEYS, shards);
+            for dir in 0..dirs as u64 {
+                for (i, name) in names.iter().enumerate() {
+                    dcache.insert(dir, name, dir * 100 + i as u64);
+                }
             }
+            let ops = if variant == "shared" {
+                SHARED_OPS
+            } else {
+                OPS_PER_THREAD
+            };
+            let wall_ns = run_threads(threads, ops, |t, i| {
+                let dir = if variant == "shared" { 0 } else { t as u64 };
+                let name = &names[(i * 13) % SHARED_KEYS];
+                std::hint::black_box(dcache.get(dir, name));
+            });
+            let total_ops = (threads * ops) as f64;
+            rows.push(obj(vec![
+                ("estimator", Value::String("min-of-3".into())),
+                ("variant", Value::String(variant.to_string())),
+                ("shards", num(shards as f64)),
+                ("threads", num(threads as f64)),
+                ("total_ops", num(total_ops)),
+                ("wall_ns", num(wall_ns as f64)),
+                ("ops_per_sec", num(total_ops / (wall_ns as f64 / 1e9))),
+            ]));
+            println!(
+                "dcache       shards={shards} {variant:<8}: {:>8.0}k ops/s ({} threads)",
+                total_ops / (wall_ns as f64 / 1e9) / 1e3,
+                threads
+            );
         }
-        let wall_ns = best_wall_ns(3, || {
-            let mut handles = Vec::new();
-            for t in 0..threads as u64 {
-                let dcache = Arc::clone(&dcache);
-                handles.push(std::thread::spawn(move || {
-                    let names: Vec<String> =
-                        (0..NAMES_PER_THREAD).map(|i| format!("n{i}")).collect();
-                    for i in 0..OPS_PER_THREAD {
-                        let name = &names[(i * 13) % NAMES_PER_THREAD as usize];
-                        std::hint::black_box(dcache.get(t, name));
-                    }
-                }));
-            }
-            for h in handles {
-                h.join().unwrap();
-            }
-        });
-        let total_ops = (threads * OPS_PER_THREAD) as f64;
-        rows.push(obj(vec![
-            ("estimator", Value::String("min-of-3".into())),
-            ("shards", num(shards as f64)),
-            ("threads", num(threads as f64)),
-            ("total_ops", num(total_ops)),
-            ("wall_ns", num(wall_ns as f64)),
-            ("ops_per_sec", num(total_ops / (wall_ns as f64 / 1e9))),
-        ]));
-        println!(
-            "dcache       shards={shards}: {:>8.0}k ops/s ({} threads)",
-            total_ops / (wall_ns as f64 / 1e9) / 1e3,
-            threads
-        );
     }
     Value::Array(rows)
 }
@@ -1518,6 +1542,23 @@ fn main() {
             "meta",
             obj(vec![
                 ("threads", num(threads as f64)),
+                // The host and build every wall-clock row ran on: rows
+                // from different hosts or profiles are not comparable.
+                (
+                    "available_parallelism",
+                    num(std::thread::available_parallelism().map_or(0, |n| n.get()) as f64),
+                ),
+                (
+                    "profile",
+                    Value::String(
+                        if cfg!(debug_assertions) {
+                            "debug"
+                        } else {
+                            "release"
+                        }
+                        .into(),
+                    ),
+                ),
                 (
                     "shard_counts",
                     Value::Array(shards.iter().map(|&s| num(s as f64)).collect()),

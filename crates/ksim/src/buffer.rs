@@ -6,19 +6,29 @@
 //! combinations are valid, but even determining which are can be
 //! complicated." This module reproduces that interface: a write-back buffer
 //! cache whose buffers carry the sixteen flags, set independently by file
-//! systems and the journal, plus a [`BufferHead::validate`] routine encoding
+//! systems and the journal, plus a [`Buffer::validate`] routine encoding
 //! the legal-combination rules — the machine-checkable fragment of the
 //! specification the paper says a verified file system would need.
-//! One flag is not set by hand: `Delay` reads the buffer's count of live
-//! [`DelayPin`]s (§4.3's ownership model in place of a convention).
+//! One flag is not set by hand: `Delay` follows the buffer's count of
+//! live [`DelayPin`]s (§4.3's ownership model in place of a convention).
+//!
+//! **The hit path.** A cached `bread` takes the shard's read lock, clones
+//! the buffer's `Arc`, and writes no other line that a second CPU reads:
+//! the hit counts into the calling thread's slot of a
+//! [`crate::percpu::Counter`], the LRU stamp is stored only if it changed
+//! since the last insertion, and `Uptodate` is tested with one atomic
+//! load of the flag word. The flag word is written only under the head
+//! lock and `Uptodate` is never cleared, so a set bit seen without the
+//! lock stays true.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU16, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crate::block::BlockDevice;
 use crate::errno::KResult;
 use crate::lock::{LockRegistry, TrackedMutex, TrackedRwLock};
+use crate::percpu::Counter;
 
 /// The sixteen `buffer_head` state flags (names follow Linux's
 /// `enum bh_state_bits`).
@@ -145,60 +155,31 @@ pub fn validate_state(s: BufferState) -> Result<(), FlagViolation> {
     Ok(())
 }
 
-/// In-memory state of one cached block.
+/// The lock-protected part of one cached block: its contents and its
+/// pin count. The flag word lives beside it in [`Buffer`], written only
+/// while this head is locked.
 #[derive(Debug)]
 pub struct BufferHead {
     /// The block this buffer shadows.
     pub blkno: u64,
     /// Block contents.
     pub data: Vec<u8>,
-    /// Packed flag state, `Delay` excepted: that bit is `pins > 0`.
-    pub state: BufferState,
-    /// Live [`DelayPin`]s on this buffer.
+    /// Live [`DelayPin`]s on this buffer; `Delay` is set exactly while
+    /// this is nonzero.
     pins: usize,
-}
-
-impl BufferHead {
-    /// Validates the flag combination currently set on this buffer.
-    pub fn validate(&self) -> Result<(), FlagViolation> {
-        validate_state(self.state)
-    }
-
-    /// Dirty and unpinned: the image is the cache's to write home.
-    fn writable(&self) -> bool {
-        self.state.has(BhFlag::Dirty) && self.pins == 0
-    }
-
-    /// Starts a writeback if writable, snapshotting the image into `out`
-    /// under the same hold. Dirtiness moves to the IO: a re-dirty during
-    /// the write stays set and reaches the device on the next sync.
-    fn start_writeback(&mut self, out: &mut Vec<u8>) -> bool {
-        if !self.writable() {
-            return false;
-        }
-        let s = self.state.with(BhFlag::Lock).with(BhFlag::AsyncWrite);
-        self.state = s.without(BhFlag::Dirty);
-        out.extend_from_slice(&self.data);
-        true
-    }
-
-    /// Marks new contents: `Dirty | Uptodate | Mapped`, clearing `New`.
-    fn mark_written(&mut self) {
-        self.state = self
-            .state
-            .with(BhFlag::Uptodate)
-            .with(BhFlag::Mapped)
-            .with(BhFlag::Dirty)
-            .without(BhFlag::New);
-    }
 }
 
 /// A cached buffer; shared between the cache and its users.
 pub struct Buffer {
     blkno: u64,
     head: TrackedMutex<BufferHead>,
-    /// Global LRU tick of the last access — updated with a relaxed store
-    /// so the read fast path never takes an exclusive cache lock.
+    /// The packed [`BufferState`]. Written only under `head` (see
+    /// [`Buffer::set_state`]), read with one load: a reader without the
+    /// lock sees the state as of some recent head-lock release. Stores
+    /// are `Release` and loads `Acquire`, so a reader that sees
+    /// `Uptodate` also sees the fill that preceded it.
+    flags: AtomicU16,
+    /// LRU stamp: the cache tick at the buffer's insertion or last hit.
     last_used: AtomicU64,
 }
 
@@ -206,6 +187,31 @@ impl Buffer {
     /// The block number this buffer shadows.
     pub fn blkno(&self) -> u64 {
         self.blkno
+    }
+
+    /// Replaces the flag word with `f(current)`. Taking the locked head
+    /// is the proof that the caller holds the head lock, so the flag
+    /// word has one writer at a time and no update is lost.
+    fn set_state(&self, _held: &mut BufferHead, f: impl FnOnce(BufferState) -> BufferState) {
+        let s = f(self.state());
+        self.flags.store(s.0, Ordering::Release);
+    }
+
+    /// Starts a writeback if the buffer is dirty and unpinned,
+    /// snapshotting the image into `out` under the caller's head hold.
+    /// Dirtiness moves to the IO: a re-dirty during the write stays set
+    /// and reaches the device on the next sync.
+    fn start_writeback(&self, h: &mut BufferHead, out: &mut Vec<u8>) -> bool {
+        if !writable(self.state()) {
+            return false;
+        }
+        self.set_state(h, |s| {
+            s.with(BhFlag::Lock)
+                .with(BhFlag::AsyncWrite)
+                .without(BhFlag::Dirty)
+        });
+        out.extend_from_slice(&h.data);
+        true
     }
 
     /// Runs `f` over the buffer contents.
@@ -218,7 +224,7 @@ impl Buffer {
     pub fn write<R>(&self, f: impl FnOnce(&mut [u8]) -> R) -> R {
         let mut h = self.head.lock();
         let r = f(&mut h.data);
-        h.mark_written();
+        self.set_state(&mut h, written);
         r
     }
 
@@ -227,38 +233,38 @@ impl Buffer {
     pub fn publish(self: &Arc<Self>, data: &[u8]) -> DelayPin {
         let mut h = self.head.lock();
         h.data.copy_from_slice(data);
-        h.mark_written();
         h.pins += 1;
+        self.set_state(&mut h, |s| written(s).with(BhFlag::Delay));
         drop(h);
         DelayPin(Arc::clone(self))
     }
 
     /// True while some [`DelayPin`] on this buffer is alive.
     pub fn is_pinned(&self) -> bool {
-        self.head.lock().pins > 0
+        self.test_flag(BhFlag::Delay)
     }
 
-    /// Current flag state (`Delay` while pinned).
+    /// Current flag state (`Delay` while pinned), read without the head
+    /// lock.
     pub fn state(&self) -> BufferState {
-        let h = self.head.lock();
-        match h.pins {
-            0 => h.state,
-            _ => h.state.with(BhFlag::Delay),
-        }
+        BufferState(self.flags.load(Ordering::Acquire))
     }
 
     /// Sets a flag (raw access for legacy code), except `Delay`.
     pub fn set_flag(&self, flag: BhFlag) {
         assert_ne!(flag, BhFlag::Delay, "Delay is taken with Buffer::publish");
         let mut h = self.head.lock();
-        h.state = h.state.with(flag);
+        self.set_state(&mut h, |s| s.with(flag));
     }
 
-    /// Clears a flag, except `Delay`.
+    /// Clears a flag, except `Delay` and `Uptodate`. `Delay` clears when
+    /// the last pin drops. `Uptodate` is never cleared: the cache's hit
+    /// path trusts a set `Uptodate` it reads without the head lock.
     pub fn clear_flag(&self, flag: BhFlag) {
         assert_ne!(flag, BhFlag::Delay, "Delay clears when its pins drop");
+        assert_ne!(flag, BhFlag::Uptodate, "Uptodate is never cleared");
         let mut h = self.head.lock();
-        h.state = h.state.without(flag);
+        self.set_state(&mut h, |s| s.without(flag));
     }
 
     /// Tests a flag.
@@ -268,8 +274,21 @@ impl Buffer {
 
     /// Validates the current flag combination.
     pub fn validate(&self) -> Result<(), FlagViolation> {
-        self.head.lock().validate()
+        validate_state(self.state())
     }
+}
+
+/// New contents: `Dirty | Uptodate | Mapped`, clearing `New`.
+fn written(s: BufferState) -> BufferState {
+    s.with(BhFlag::Uptodate)
+        .with(BhFlag::Mapped)
+        .with(BhFlag::Dirty)
+        .without(BhFlag::New)
+}
+
+/// Dirty and unpinned: the image is the cache's to write home.
+fn writable(s: BufferState) -> bool {
+    s.has(BhFlag::Dirty) && !s.has(BhFlag::Delay)
 }
 
 /// A write-ahead claim on a published image, made only by
@@ -305,7 +324,8 @@ impl Drop for DelayPin {
         let mut h = self.0.head.lock();
         h.pins -= 1;
         if h.pins == 0 {
-            h.state = h.state.without(BhFlag::Dirty);
+            self.0
+                .set_state(&mut h, |s| s.without(BhFlag::Dirty).without(BhFlag::Delay));
         }
     }
 }
@@ -333,34 +353,32 @@ struct Shard {
     map: HashMap<u64, Arc<Buffer>>,
 }
 
-/// Per-shard statistics counters. Atomics so the read fast path (shard
-/// read lock only) can still count hits.
-#[derive(Default)]
-struct ShardStats {
-    hits: AtomicU64,
-    misses: AtomicU64,
-    writebacks: AtomicU64,
-    evictions: AtomicU64,
-}
+/// Per-shard statistics: one thread-sharded counter whose lanes are
+/// [`HITS`], [`MISSES`], [`WRITEBACKS`] and [`EVICTIONS`], so a hit
+/// under the shard read lock counts into the caller's own line.
+type ShardStats = Counter<4>;
+const HITS: usize = 0;
+const MISSES: usize = 1;
+const WRITEBACKS: usize = 2;
+const EVICTIONS: usize = 3;
 
-impl ShardStats {
-    fn snapshot(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            writebacks: self.writebacks.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-        }
+fn snapshot(stats: &ShardStats) -> CacheStats {
+    let [hits, misses, writebacks, evictions] = stats.sum();
+    CacheStats {
+        hits,
+        misses,
+        writebacks,
+        evictions,
     }
 }
 
 /// A write-back buffer cache over a block device, lock-striped into
 /// [`DEFAULT_SHARDS`] shards (hash of the block number picks the stripe).
 ///
-/// Reads of already-cached buffers take only a shard *read* lock plus the
-/// buffer's own mutex; LRU position is a relaxed atomic tick on the
-/// buffer, so concurrent readers of different blocks — and even of the
-/// same shard — never serialize on an exclusive cache lock. Device IO
+/// Reads of already-cached buffers take only a shard *read* lock (see
+/// the module doc's hit path); LRU position is a relaxed atomic stamp on
+/// the buffer, so concurrent readers of different blocks — and even of
+/// the same shard — never serialize on an exclusive cache lock. Device IO
 /// (miss fill, write-back) happens outside every shard lock, so slow
 /// simulated IO overlaps across threads instead of queueing behind one
 /// cache-wide mutex.
@@ -370,7 +388,10 @@ pub struct BufferCache {
     per_shard_cap: usize,
     shards: Vec<TrackedRwLock<Shard>>,
     stats: Vec<ShardStats>,
-    /// Global LRU tick source.
+    /// LRU clock. It advances only on insertion, by two: a new buffer
+    /// takes the odd stamp in between, and a hit stores the (even) tick
+    /// itself, so buffers hit between two insertions tie with each other
+    /// but stay ordered against every insertion.
     tick: AtomicU64,
     /// Lockdep registry observing the shard locks, buffer-head mutexes
     /// and the `BlockDevice` boundary.
@@ -421,7 +442,7 @@ impl BufferCache {
                     )
                 })
                 .collect(),
-            stats: (0..nshards).map(|_| ShardStats::default()).collect(),
+            stats: (0..nshards).map(|_| ShardStats::new()).collect(),
             tick: AtomicU64::new(0),
             registry,
         }
@@ -449,13 +470,19 @@ impl BufferCache {
         ((h >> 32) as usize) % self.shards.len()
     }
 
+    /// Stamps a hit buffer with the current tick, writing its line only
+    /// if it was not already hit since the last insertion.
     fn touch(&self, buf: &Buffer) {
-        let t = self.tick.fetch_add(1, Ordering::Relaxed);
-        buf.last_used.store(t, Ordering::Relaxed);
+        let t = self.tick.load(Ordering::Relaxed);
+        if buf.last_used.load(Ordering::Relaxed) != t {
+            buf.last_used.store(t, Ordering::Relaxed);
+        }
     }
 
+    /// A buffer to insert, stamped newer than every earlier hit and
+    /// insertion (the odd stamp between two ticks).
     fn new_buffer(&self, blkno: u64, data: Vec<u8>, state: BufferState) -> Arc<Buffer> {
-        let buf = Arc::new(Buffer {
+        Arc::new(Buffer {
             blkno,
             head: TrackedMutex::new(
                 &self.registry,
@@ -463,14 +490,12 @@ impl BufferCache {
                 BufferHead {
                     blkno,
                     data,
-                    state,
                     pins: 0,
                 },
             ),
-            last_used: AtomicU64::new(0),
-        });
-        self.touch(&buf);
-        buf
+            flags: AtomicU16::new(state.0),
+            last_used: AtomicU64::new(self.tick.fetch_add(2, Ordering::Relaxed) + 1),
+        })
     }
 
     /// Evicts clean, unreferenced buffers (least-recently used first)
@@ -517,7 +542,7 @@ impl BufferCache {
                 continue;
             }
             shard.map.remove(&blkno);
-            self.stats[idx].evictions.fetch_add(1, Ordering::Relaxed);
+            self.stats[idx].add(EVICTIONS, 1);
         }
         deferred
     }
@@ -543,7 +568,7 @@ impl BufferCache {
                 continue;
             }
             shard.map.remove(&buf.blkno());
-            self.stats[idx].evictions.fetch_add(1, Ordering::Relaxed);
+            self.stats[idx].add(EVICTIONS, 1);
         }
         Ok(())
     }
@@ -551,7 +576,7 @@ impl BufferCache {
     /// Writes one buffer back to the device if it is dirty and unpinned.
     fn writeback(&self, buf: &Buffer) -> KResult<()> {
         let mut data = Vec::new();
-        if !buf.head.lock().start_writeback(&mut data) {
+        if !buf.start_writeback(&mut buf.head.lock(), &mut data) {
             return Ok(());
         }
         self.registry.note_blocking_io("write_block");
@@ -578,15 +603,17 @@ impl BufferCache {
     /// Ends `buf`'s writeback with the device's verdict: `Req` and a
     /// counted writeback, or `WriteEio` with the dirtiness restored.
     fn end_writeback(&self, buf: &Buffer, ok: bool) {
-        let mut h = buf.head.lock();
-        h.state = h.state.without(BhFlag::AsyncWrite).without(BhFlag::Lock);
+        buf.set_state(&mut buf.head.lock(), |s| {
+            let s = s.without(BhFlag::AsyncWrite).without(BhFlag::Lock);
+            if ok {
+                s.with(BhFlag::Req)
+            } else {
+                s.with(BhFlag::WriteEio).with(BhFlag::Dirty)
+            }
+        });
         if ok {
-            h.state = h.state.with(BhFlag::Req);
-            drop(h);
             let idx = self.shard_of(buf.blkno());
-            self.stats[idx].writebacks.fetch_add(1, Ordering::Relaxed);
-        } else {
-            h.state = h.state.with(BhFlag::WriteEio).with(BhFlag::Dirty);
+            self.stats[idx].add(WRITEBACKS, 1);
         }
     }
 
@@ -603,7 +630,7 @@ impl BufferCache {
         let cached = self.shards[idx].read().map.get(&blkno).cloned();
         let mut deferred: Vec<Arc<Buffer>> = Vec::new();
         let buf = if let Some(buf) = cached {
-            self.stats[idx].hits.fetch_add(1, Ordering::Relaxed);
+            self.stats[idx].add(HITS, 1);
             self.touch(&buf);
             buf
         } else {
@@ -616,11 +643,11 @@ impl BufferCache {
             // afterwards would silently discard its committed update.
             let mut shard = self.shards[idx].write();
             if let Some(raced) = shard.map.get(&blkno).cloned() {
-                self.stats[idx].hits.fetch_add(1, Ordering::Relaxed);
+                self.stats[idx].add(HITS, 1);
                 self.touch(&raced);
                 raced
             } else {
-                self.stats[idx].misses.fetch_add(1, Ordering::Relaxed);
+                self.stats[idx].add(MISSES, 1);
                 let buf = self.new_buffer(
                     blkno,
                     vec![0u8; self.dev.block_size()],
@@ -641,10 +668,11 @@ impl BufferCache {
     }
 
     /// Reads `buf` in from the device unless it is already uptodate.
-    /// `Uptodate` is never cleared once set, so the re-check under the
-    /// buffer's own mutex is decisive: a concurrent writer that made the
-    /// buffer uptodate (and possibly dirty) wins, and the device image —
-    /// which may predate that write — is discarded.
+    /// `Uptodate` is never cleared once set ([`Buffer::clear_flag`]
+    /// refuses it), so a set bit read without the head lock is final,
+    /// and the re-check under the lock is decisive: a concurrent writer
+    /// that made the buffer uptodate (and possibly dirty) wins, and the
+    /// device image — which may predate that write — is discarded.
     fn fill_uptodate(&self, buf: &Arc<Buffer>) -> KResult<()> {
         if buf.test_flag(BhFlag::Uptodate) {
             return Ok(());
@@ -653,13 +681,13 @@ impl BufferCache {
         self.registry.note_blocking_io("read_block");
         self.dev.read_block(buf.blkno(), &mut data)?;
         let mut h = buf.head.lock();
-        if !h.state.has(BhFlag::Uptodate) {
+        if !buf.test_flag(BhFlag::Uptodate) {
             h.data = data;
-            h.state = h
-                .state
-                .with(BhFlag::Uptodate)
-                .with(BhFlag::Mapped)
-                .with(BhFlag::Req);
+            buf.set_state(&mut h, |s| {
+                s.with(BhFlag::Uptodate)
+                    .with(BhFlag::Mapped)
+                    .with(BhFlag::Req)
+            });
         }
         Ok(())
     }
@@ -669,17 +697,17 @@ impl BufferCache {
     pub fn getblk(&self, blkno: u64) -> KResult<Arc<Buffer>> {
         let idx = self.shard_of(blkno);
         if let Some(buf) = self.shards[idx].read().map.get(&blkno).cloned() {
-            self.stats[idx].hits.fetch_add(1, Ordering::Relaxed);
+            self.stats[idx].add(HITS, 1);
             self.touch(&buf);
             return Ok(buf);
         }
         let mut shard = self.shards[idx].write();
         if let Some(buf) = shard.map.get(&blkno).cloned() {
-            self.stats[idx].hits.fetch_add(1, Ordering::Relaxed);
+            self.stats[idx].add(HITS, 1);
             self.touch(&buf);
             return Ok(buf);
         }
-        self.stats[idx].misses.fetch_add(1, Ordering::Relaxed);
+        self.stats[idx].add(MISSES, 1);
         let buf = self.new_buffer(
             blkno,
             vec![0u8; self.dev.block_size()],
@@ -712,7 +740,7 @@ impl BufferCache {
                     .read()
                     .map
                     .values()
-                    .filter(|b| b.head.lock().writable())
+                    .filter(|b| writable(b.state()))
                     .cloned(),
             );
         }
@@ -729,7 +757,7 @@ impl BufferCache {
             // The scan's verdict may be stale by now: the snapshot
             // decides again, and a buffer pinned or cleaned since is
             // skipped, which also ends the run.
-            if buf.head.lock().start_writeback(&mut payload) {
+            if buf.start_writeback(&mut buf.head.lock(), &mut payload) {
                 run.push(buf);
             }
         }
@@ -792,7 +820,7 @@ impl BufferCache {
     pub fn stats(&self) -> CacheStats {
         let mut total = CacheStats::default();
         for s in &self.stats {
-            let snap = s.snapshot();
+            let snap = snapshot(s);
             total.hits += snap.hits;
             total.misses += snap.misses;
             total.writebacks += snap.writebacks;
@@ -803,7 +831,7 @@ impl BufferCache {
 
     /// Per-shard statistics snapshots (for the striping ablation).
     pub fn shard_stats(&self) -> Vec<CacheStats> {
-        self.stats.iter().map(|s| s.snapshot()).collect()
+        self.stats.iter().map(snapshot).collect()
     }
 
     /// Validates the flag state of every cached buffer, returning the block
@@ -1127,6 +1155,51 @@ mod tests {
     #[should_panic(expected = "Delay is taken with Buffer::publish")]
     fn delay_is_not_a_settable_flag() {
         cache(8, 4).bread(0).unwrap().set_flag(BhFlag::Delay);
+    }
+
+    /// The hit path reads `Uptodate` without the head lock, which is
+    /// sound only because nothing clears it.
+    #[test]
+    #[should_panic(expected = "Uptodate is never cleared")]
+    fn uptodate_is_not_clearable() {
+        cache(8, 4).bread(0).unwrap().clear_flag(BhFlag::Uptodate);
+    }
+
+    /// The LRU tick moves only on insertion, yet a buffer hit after the
+    /// last insertion still ranks newer than one inserted earlier and
+    /// not hit since: the shrink evicts the unhit one.
+    #[test]
+    fn hit_since_last_insertion_survives_shrink() {
+        let c = BufferCache::with_shards(Arc::new(RamDisk::new(8)), 2, 1);
+        c.bread(0).unwrap();
+        c.bread(1).unwrap();
+        c.bread(0).unwrap();
+        c.bread(2).unwrap();
+        assert!(c.peek(0).is_some(), "the hit buffer survives");
+        assert!(c.peek(1).is_none(), "the unhit buffer is evicted");
+        assert!(c.peek(2).is_some());
+        assert_eq!(c.stats().evictions, 1);
+    }
+
+    /// A cached `bread` takes no buffer-head lock: `Uptodate` is one
+    /// atomic load.
+    #[test]
+    fn bread_hit_takes_no_head_lock() {
+        let reg = LockRegistry::new_disabled();
+        let c = BufferCache::with_registry(Arc::new(RamDisk::new(8)), 4, 1, Arc::clone(&reg));
+        c.bread(3).unwrap();
+        let heads = || {
+            reg.class_stats()
+                .iter()
+                .find(|s| s.name == "buffer.head")
+                .map_or(0, |s| s.acquisitions)
+        };
+        let before = heads();
+        for _ in 0..100 {
+            c.bread(3).unwrap();
+        }
+        assert_eq!(heads(), before);
+        assert_eq!(c.stats().hits, 100);
     }
 
     /// A publish dirties and pins in one head-lock hold, and a pin's last

@@ -19,6 +19,8 @@
 //! - [`lock`]: lock primitives with discipline tracking — lock-order
 //!   recording and "which lock protects this field" contracts, modelling the
 //!   paper's §4.3 `i_lock`/`i_size` example.
+//! - [`percpu`]: thread-sharded counters, the statistics primitive of
+//!   the lock registry and the buffer cache.
 //! - [`time`]: a simulated clock used by the latency model and the netstack.
 //! - [`klog`]: a ring-buffer kernel log.
 //! - [`lanehash`]: the word-speed lane checksum shared by the network
@@ -38,6 +40,7 @@ pub mod kalloc;
 pub mod klog;
 pub mod lanehash;
 pub mod lock;
+pub mod percpu;
 pub mod scenario;
 pub mod time;
 pub mod workqueue;

@@ -41,9 +41,14 @@
 //!   kernel would sleep on.
 //! - **Per-class counters.** Acquisitions, contended acquisitions and
 //!   cumulative hold time per class, surfaced via
-//!   [`LockRegistry::class_stats`] for `bench_report --lockdep`. Hold
-//!   time needs two clock reads per acquisition, so it is measured only
-//!   while lockdep is enabled; a disabled registry reports 0.
+//!   [`LockRegistry::class_stats`] for `bench_report --lockdep`. Each
+//!   class keeps them in one thread-sharded [`Counter`]: an acquisition
+//!   adds to the calling thread's own cache line, and a snapshot sums the
+//!   slots, so two threads taking different locks of one class (two
+//!   buffer heads, two dcache shards) share no written line through the
+//!   counters. Counts are exact on every registry, disabled ones too.
+//!   Hold time needs two clock reads per acquisition, so it is measured
+//!   only while lockdep is enabled; a disabled registry reports 0.
 //!
 //! Reports are deduplicated per class pair (cycles), per class (nesting)
 //! and per class+operation (I/O), so a hot loop produces one finding, not
@@ -65,6 +70,8 @@ use std::thread::{self, ThreadId};
 use std::time::Instant;
 
 use parking_lot::{Condvar, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
+
+use crate::percpu::Counter;
 
 /// Identity of a registered lock *instance*.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -124,12 +131,12 @@ pub struct ClassStats {
     pub held_ns: u64,
 }
 
-#[derive(Default)]
-struct ClassCounters {
-    acquisitions: AtomicU64,
-    contended: AtomicU64,
-    held_ns: AtomicU64,
-}
+/// A class's counters: one thread-sharded counter whose lanes are
+/// [`ACQUISITIONS`], [`CONTENDED`] and [`HELD_NS`].
+type ClassCounters = Counter<3>;
+const ACQUISITIONS: usize = 0;
+const CONTENDED: usize = 1;
+const HELD_NS: usize = 2;
 
 struct ClassInfo {
     name: &'static str,
@@ -432,11 +439,14 @@ impl LockRegistry {
         let mut out: Vec<ClassStats> = inner
             .class_info
             .iter()
-            .map(|c| ClassStats {
-                name: c.name,
-                acquisitions: c.counters.acquisitions.load(Ordering::Relaxed),
-                contended: c.counters.contended.load(Ordering::Relaxed),
-                held_ns: c.counters.held_ns.load(Ordering::Relaxed),
+            .map(|c| {
+                let [acquisitions, contended, held_ns] = c.counters.sum();
+                ClassStats {
+                    name: c.name,
+                    acquisitions,
+                    contended,
+                    held_ns,
+                }
             })
             .collect();
         out.sort_unstable_by_key(|s| s.name);
@@ -449,9 +459,7 @@ impl LockRegistry {
 /// acquisitions read no clock at all.
 fn add_held(counters: &ClassCounters, since: Option<Instant>) {
     if let Some(t) = since {
-        counters
-            .held_ns
-            .fetch_add(t.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        counters.add(HELD_NS, t.elapsed().as_nanos() as u64);
     }
 }
 
@@ -498,11 +506,11 @@ impl<T> KLock<T> {
         let guard = match self.mutex.try_lock() {
             Some(g) => g,
             None => {
-                self.counters.contended.fetch_add(1, Ordering::Relaxed);
+                self.counters.add(CONTENDED, 1);
                 self.mutex.lock()
             }
         };
-        self.counters.acquisitions.fetch_add(1, Ordering::Relaxed);
+        self.counters.add(ACQUISITIONS, 1);
         self.registry.on_acquire(self.id, self.class, None, false);
         KLockGuard {
             guard: Some(guard),
@@ -635,11 +643,11 @@ impl<T> TrackedMutex<T> {
         let guard = match self.mutex.try_lock() {
             Some(g) => g,
             None => {
-                self.counters.contended.fetch_add(1, Ordering::Relaxed);
+                self.counters.add(CONTENDED, 1);
                 self.mutex.lock()
             }
         };
-        self.counters.acquisitions.fetch_add(1, Ordering::Relaxed);
+        self.counters.add(ACQUISITIONS, 1);
         let registered = self.registry.is_enabled();
         if registered {
             self.registry
@@ -657,7 +665,7 @@ impl<T> TrackedMutex<T> {
     /// or opportunistic trylock is not an ordering commitment).
     pub fn try_lock(&self) -> Option<TrackedMutexGuard<'_, T>> {
         let guard = self.mutex.try_lock()?;
-        self.counters.acquisitions.fetch_add(1, Ordering::Relaxed);
+        self.counters.add(ACQUISITIONS, 1);
         let registered = self.registry.is_enabled();
         if registered {
             self.registry
@@ -686,10 +694,7 @@ impl<'a, T> TrackedMutexGuard<'a, T> {
                 .registry
                 .on_acquire(self.lock.id, self.lock.class, self.lock.rank, false);
         }
-        self.lock
-            .counters
-            .acquisitions
-            .fetch_add(1, Ordering::Relaxed);
+        self.lock.counters.add(ACQUISITIONS, 1);
         self.since = self.registered.then(Instant::now);
     }
 
@@ -706,10 +711,7 @@ impl<'a, T> TrackedMutexGuard<'a, T> {
                 .registry
                 .on_acquire(self.lock.id, self.lock.class, self.lock.rank, false);
         }
-        self.lock
-            .counters
-            .acquisitions
-            .fetch_add(1, Ordering::Relaxed);
+        self.lock.counters.add(ACQUISITIONS, 1);
         self.since = self.registered.then(Instant::now);
         r
     }
@@ -803,7 +805,7 @@ impl<T> TrackedRwLock<T> {
     }
 
     fn note_acquire(&self, trylock: bool) -> bool {
-        self.counters.acquisitions.fetch_add(1, Ordering::Relaxed);
+        self.counters.add(ACQUISITIONS, 1);
         let registered = self.registry.is_enabled();
         if registered {
             self.registry
@@ -817,7 +819,7 @@ impl<T> TrackedRwLock<T> {
         let guard = match self.rw.try_read() {
             Some(g) => g,
             None => {
-                self.counters.contended.fetch_add(1, Ordering::Relaxed);
+                self.counters.add(CONTENDED, 1);
                 self.rw.read()
             }
         };
@@ -835,7 +837,7 @@ impl<T> TrackedRwLock<T> {
         let guard = match self.rw.try_write() {
             Some(g) => g,
             None => {
-                self.counters.contended.fetch_add(1, Ordering::Relaxed);
+                self.counters.add(CONTENDED, 1);
                 self.rw.write()
             }
         };
@@ -1227,6 +1229,38 @@ mod tests {
         let stats = reg.class_stats();
         assert_eq!(stats.len(), 2);
         assert!(stats.iter().all(|s| s.acquisitions == 2));
+    }
+
+    /// Eight threads take eight locks of one class 10k times each: the
+    /// class's thread-sharded counter sums to exactly 80k, and a bare
+    /// [`Counter`] bumped alongside sums exactly too.
+    #[test]
+    fn concurrent_class_counts_are_exact() {
+        const THREADS: usize = 8;
+        const ROUNDS: usize = 10_000;
+        let reg = LockRegistry::new_disabled();
+        let locks: Vec<TrackedMutex<u64>> = (0..8)
+            .map(|_| TrackedMutex::new(&reg, "stripe", 0))
+            .collect();
+        let bare: Counter = Counter::new();
+        thread::scope(|s| {
+            for t in 0..THREADS {
+                let (locks, bare) = (&locks, &bare);
+                s.spawn(move || {
+                    for i in 0..ROUNDS {
+                        *locks[(t + i) % locks.len()].lock() += 1;
+                        bare.add(0, 1);
+                    }
+                });
+            }
+        });
+        let want = (THREADS * ROUNDS) as u64;
+        let stats = reg.class_stats();
+        assert_eq!(stats.len(), 1);
+        assert_eq!(stats[0].acquisitions, want);
+        assert_eq!(stats[0].held_ns, 0);
+        assert_eq!(bare.sum(), [want]);
+        assert_eq!(locks.iter().map(|l| *l.lock()).sum::<u64>(), want);
     }
 
     /// Runs every guard kind once, each in its own class, sleeping `hold`

@@ -7,7 +7,14 @@
 //! layer invalidates entries on unlink/rmdir/rename; a stale dcache is
 //! itself a classic kernel bug source, so the tests pin the invalidation
 //! behaviour.
+//!
+//! **The hit path.** A lookup is O(1) and allocates nothing: the index is
+//! probed with the borrowed `(dir, &str)` pair, and each shard keeps its
+//! exact LRU order as a doubly linked list threaded by slot index through
+//! a slab of entries, so a refresh is an unlink and a relink rather than
+//! a scan. The only writes are to the shard the key hashes to.
 
+use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
@@ -32,11 +39,193 @@ pub struct DcacheStats {
     pub invalidations: u64,
 }
 
-#[derive(Default)]
+/// An owned dentry key.
+type Key = (InodeNo, String);
+
+/// A `(dir, name)` pair viewed the same way whether it owns its name
+/// ([`Key`]) or borrows it (a probe), so the index can be searched with
+/// a `&str` without building a `String`. Hash and equality match the
+/// owned tuple's, as [`Borrow`] requires.
+trait DentryKey {
+    fn dir(&self) -> InodeNo;
+    fn name(&self) -> &str;
+}
+
+impl DentryKey for Key {
+    fn dir(&self) -> InodeNo {
+        self.0
+    }
+    fn name(&self) -> &str {
+        &self.1
+    }
+}
+
+impl DentryKey for (InodeNo, &str) {
+    fn dir(&self) -> InodeNo {
+        self.0
+    }
+    fn name(&self) -> &str {
+        self.1
+    }
+}
+
+impl<'a> Borrow<dyn DentryKey + 'a> for Key {
+    fn borrow(&self) -> &(dyn DentryKey + 'a) {
+        self
+    }
+}
+
+impl Hash for dyn DentryKey + '_ {
+    fn hash<H: Hasher>(&self, h: &mut H) {
+        self.dir().hash(h);
+        self.name().hash(h);
+    }
+}
+
+impl PartialEq for dyn DentryKey + '_ {
+    fn eq(&self, other: &Self) -> bool {
+        self.dir() == other.dir() && self.name() == other.name()
+    }
+}
+
+impl Eq for dyn DentryKey + '_ {}
+
+/// End of an LRU list link.
+const NIL: u32 = u32::MAX;
+
+/// One slab slot: a live entry and its LRU neighbours, or a vacant slot
+/// on the free list.
+struct Node {
+    key: Key,
+    ino: InodeNo,
+    /// Next older entry.
+    older: u32,
+    /// Next newer entry.
+    newer: u32,
+}
+
+/// One shard: an index from key to slab slot, and the slab's entries
+/// threaded oldest to newest.
 struct Inner {
-    map: HashMap<(InodeNo, String), InodeNo>,
-    lru: Vec<(InodeNo, String)>,
+    map: HashMap<Key, u32>,
+    nodes: Vec<Node>,
+    free: Vec<u32>,
+    oldest: u32,
+    newest: u32,
     stats: DcacheStats,
+}
+
+impl Default for Inner {
+    fn default() -> Self {
+        Inner {
+            map: HashMap::new(),
+            nodes: Vec::new(),
+            free: Vec::new(),
+            oldest: NIL,
+            newest: NIL,
+            stats: DcacheStats::default(),
+        }
+    }
+}
+
+impl Inner {
+    fn slot(&self, dir: InodeNo, name: &str) -> Option<u32> {
+        self.map.get(&(dir, name) as &dyn DentryKey).copied()
+    }
+
+    fn unlink(&mut self, i: u32) {
+        let (older, newer) = {
+            let n = &self.nodes[i as usize];
+            (n.older, n.newer)
+        };
+        match older {
+            NIL => self.oldest = newer,
+            o => self.nodes[o as usize].newer = newer,
+        }
+        match newer {
+            NIL => self.newest = older,
+            n => self.nodes[n as usize].older = older,
+        }
+    }
+
+    fn push_newest(&mut self, i: u32) {
+        let prev = self.newest;
+        let n = &mut self.nodes[i as usize];
+        n.older = prev;
+        n.newer = NIL;
+        match prev {
+            NIL => self.oldest = i,
+            p => self.nodes[p as usize].newer = i,
+        }
+        self.newest = i;
+    }
+
+    /// Moves entry `i` to the newest end.
+    fn refresh(&mut self, i: u32) {
+        if self.newest != i {
+            self.unlink(i);
+            self.push_newest(i);
+        }
+    }
+
+    /// Adds a new newest entry (the key must be absent).
+    fn push(&mut self, key: Key, ino: InodeNo) {
+        let node = Node {
+            key: key.clone(),
+            ino,
+            older: NIL,
+            newer: NIL,
+        };
+        let i = match self.free.pop() {
+            Some(i) => {
+                self.nodes[i as usize] = node;
+                i
+            }
+            None => {
+                self.nodes.push(node);
+                (self.nodes.len() - 1) as u32
+            }
+        };
+        self.map.insert(key, i);
+        self.push_newest(i);
+    }
+
+    /// Unlinks and frees entry `i`, whose key the caller already took
+    /// out of the index.
+    fn release(&mut self, i: u32) {
+        self.unlink(i);
+        self.nodes[i as usize].key = Key::default();
+        self.free.push(i);
+    }
+
+    /// Drops entry `i` entirely.
+    fn remove(&mut self, i: u32) {
+        let key = std::mem::take(&mut self.nodes[i as usize].key);
+        self.map.remove(&key);
+        self.release(i);
+    }
+
+    /// Live entries, oldest first.
+    fn drain_oldest_first(&mut self) -> Vec<(Key, InodeNo)> {
+        let mut out = Vec::with_capacity(self.map.len());
+        let mut i = self.oldest;
+        while i != NIL {
+            let n = &mut self.nodes[i as usize];
+            out.push((std::mem::take(&mut n.key), n.ino));
+            i = n.newer;
+        }
+        self.empty();
+        out
+    }
+
+    /// Forgets every entry; statistics stay.
+    fn empty(&mut self) {
+        self.map.clear();
+        self.nodes.clear();
+        self.free.clear();
+        self.oldest = NIL;
+        self.newest = NIL;
+    }
 }
 
 /// A bounded, lock-striped dentry cache.
@@ -104,14 +293,10 @@ impl Dcache {
     /// Looks up a cached entry, refreshing its recency.
     pub fn get(&self, dir: InodeNo, name: &str) -> Option<InodeNo> {
         let mut inner = self.shards[self.shard_of(dir, name)].lock();
-        let key = (dir, name.to_string());
-        if let Some(&ino) = inner.map.get(&key) {
+        if let Some(i) = inner.slot(dir, name) {
             inner.stats.hits += 1;
-            if let Some(pos) = inner.lru.iter().position(|k| *k == key) {
-                inner.lru.remove(pos);
-            }
-            inner.lru.push(key);
-            Some(ino)
+            inner.refresh(i);
+            Some(inner.nodes[i as usize].ino)
         } else {
             inner.stats.misses += 1;
             None
@@ -121,28 +306,24 @@ impl Dcache {
     /// Inserts an entry, evicting the shard's least-recent when full.
     pub fn insert(&self, dir: InodeNo, name: &str, ino: InodeNo) {
         let mut inner = self.shards[self.shard_of(dir, name)].lock();
-        let key = (dir, name.to_string());
-        if inner.map.insert(key.clone(), ino).is_none() {
-            inner.lru.push(key);
-            if inner.map.len() > self.per_shard_cap {
-                let victim = inner.lru.remove(0);
-                inner.map.remove(&victim);
-                inner.stats.evictions += 1;
-            }
-        } else if let Some(pos) = inner.lru.iter().position(|k| *k == key) {
-            let k = inner.lru.remove(pos);
-            inner.lru.push(k);
+        if let Some(i) = inner.slot(dir, name) {
+            inner.nodes[i as usize].ino = ino;
+            inner.refresh(i);
+            return;
+        }
+        inner.push((dir, name.to_string()), ino);
+        if inner.map.len() > self.per_shard_cap {
+            let victim = inner.oldest;
+            inner.remove(victim);
+            inner.stats.evictions += 1;
         }
     }
 
     /// Drops one entry (on unlink/rmdir/rename of that name).
     pub fn invalidate(&self, dir: InodeNo, name: &str) {
         let mut inner = self.shards[self.shard_of(dir, name)].lock();
-        let key = (dir, name.to_string());
-        if inner.map.remove(&key).is_some() {
-            if let Some(pos) = inner.lru.iter().position(|k| *k == key) {
-                inner.lru.remove(pos);
-            }
+        if let Some(i) = inner.map.remove(&(dir, name) as &dyn DentryKey) {
+            inner.release(i);
             inner.stats.invalidations += 1;
         }
     }
@@ -153,17 +334,14 @@ impl Dcache {
     pub fn invalidate_dir(&self, dir: InodeNo) {
         for shard in &self.shards {
             let mut inner = shard.lock();
-            let victims: Vec<(InodeNo, String)> = inner
+            let victims: Vec<u32> = inner
                 .map
-                .keys()
-                .filter(|(d, _)| *d == dir)
-                .cloned()
+                .iter()
+                .filter(|((d, _), _)| *d == dir)
+                .map(|(_, &i)| i)
                 .collect();
-            for key in victims {
-                inner.map.remove(&key);
-                if let Some(pos) = inner.lru.iter().position(|k| *k == key) {
-                    inner.lru.remove(pos);
-                }
+            for i in victims {
+                inner.remove(i);
                 inner.stats.invalidations += 1;
             }
         }
@@ -178,14 +356,12 @@ impl Dcache {
     ///
     /// Rekeyed entries may hash to a different shard, so the transfer is
     /// two-phase: drain every shard (ascending index, the rank-clean
-    /// walk), then reinsert with no shard lock held.
+    /// walk), each oldest first, then reinsert in that order with no
+    /// shard lock held, so each shard's recency order carries over.
     pub fn remap(&self, map: impl Fn(InodeNo) -> Option<InodeNo>) -> u64 {
-        let mut drained: Vec<((InodeNo, String), InodeNo)> = Vec::new();
+        let mut drained: Vec<(Key, InodeNo)> = Vec::new();
         for shard in &self.shards {
-            let mut inner = shard.lock();
-            let entries: Vec<_> = inner.map.drain().collect();
-            inner.lru.clear();
-            drained.extend(entries);
+            drained.extend(shard.lock().drain_oldest_first());
         }
         let mut kept = 0u64;
         let mut dropped = 0u64;
@@ -208,10 +384,8 @@ impl Dcache {
     pub fn clear(&self) {
         for shard in &self.shards {
             let mut inner = shard.lock();
-            let n = inner.map.len() as u64;
-            inner.map.clear();
-            inner.lru.clear();
-            inner.stats.invalidations += n;
+            inner.stats.invalidations += inner.map.len() as u64;
+            inner.empty();
         }
     }
 
@@ -250,6 +424,7 @@ impl Dcache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use sk_ksim::lock::Violation;
 
     #[test]
@@ -463,5 +638,210 @@ mod tests {
             d.shards.iter().all(|sh| !sh.lock().map.is_empty()),
             "entries stripe over every shard"
         );
+    }
+
+    /// The dentry cache as it was before its LRU became a linked slab: a
+    /// `Vec` per shard, scanned on every refresh. Kept as the reference
+    /// the O(1) cache must match step for step; its `remap` re-inserts
+    /// each shard's entries oldest first.
+    struct VecLru {
+        shards: Vec<VecShard>,
+        per_shard_cap: usize,
+    }
+
+    #[derive(Default)]
+    struct VecShard {
+        map: HashMap<Key, InodeNo>,
+        lru: Vec<Key>,
+        stats: DcacheStats,
+    }
+
+    impl VecLru {
+        fn new(capacity: usize, nshards: usize) -> Self {
+            let capacity = capacity.max(1);
+            let nshards = nshards.clamp(1, capacity);
+            VecLru {
+                shards: (0..nshards).map(|_| VecShard::default()).collect(),
+                per_shard_cap: (capacity / nshards).max(1),
+            }
+        }
+
+        fn shard(&mut self, dir: InodeNo, name: &str) -> &mut VecShard {
+            let mut h = std::collections::hash_map::DefaultHasher::new();
+            dir.hash(&mut h);
+            name.hash(&mut h);
+            let n = self.shards.len() as u64;
+            &mut self.shards[(h.finish() % n) as usize]
+        }
+
+        fn get(&mut self, dir: InodeNo, name: &str) -> Option<InodeNo> {
+            let inner = self.shard(dir, name);
+            let key = (dir, name.to_string());
+            if let Some(&ino) = inner.map.get(&key) {
+                inner.stats.hits += 1;
+                let pos = inner.lru.iter().position(|k| *k == key).unwrap();
+                inner.lru.remove(pos);
+                inner.lru.push(key);
+                Some(ino)
+            } else {
+                inner.stats.misses += 1;
+                None
+            }
+        }
+
+        fn insert(&mut self, dir: InodeNo, name: &str, ino: InodeNo) {
+            let cap = self.per_shard_cap;
+            let inner = self.shard(dir, name);
+            let key = (dir, name.to_string());
+            if inner.map.insert(key.clone(), ino).is_none() {
+                inner.lru.push(key);
+                if inner.map.len() > cap {
+                    let victim = inner.lru.remove(0);
+                    inner.map.remove(&victim);
+                    inner.stats.evictions += 1;
+                }
+            } else {
+                let pos = inner.lru.iter().position(|k| *k == key).unwrap();
+                let k = inner.lru.remove(pos);
+                inner.lru.push(k);
+            }
+        }
+
+        fn invalidate(&mut self, dir: InodeNo, name: &str) {
+            let inner = self.shard(dir, name);
+            let key = (dir, name.to_string());
+            if inner.map.remove(&key).is_some() {
+                inner.lru.retain(|k| *k != key);
+                inner.stats.invalidations += 1;
+            }
+        }
+
+        fn invalidate_dir(&mut self, dir: InodeNo) {
+            for inner in &mut self.shards {
+                let before = inner.map.len();
+                inner.map.retain(|(d, _), _| *d != dir);
+                inner.lru.retain(|(d, _)| *d != dir);
+                inner.stats.invalidations += (before - inner.map.len()) as u64;
+            }
+        }
+
+        fn remap(&mut self, map: impl Fn(InodeNo) -> Option<InodeNo>) -> u64 {
+            let mut drained = Vec::new();
+            for inner in &mut self.shards {
+                for key in std::mem::take(&mut inner.lru) {
+                    let ino = inner.map[&key];
+                    drained.push((key, ino));
+                }
+                inner.map.clear();
+            }
+            let (mut kept, mut dropped) = (0, 0);
+            for ((dir, name), ino) in drained {
+                match (map(dir), map(ino)) {
+                    (Some(ndir), Some(nino)) => {
+                        self.insert(ndir, &name, nino);
+                        kept += 1;
+                    }
+                    _ => dropped += 1,
+                }
+            }
+            self.shards[0].stats.invalidations += dropped;
+            kept
+        }
+
+        fn clear(&mut self) {
+            for inner in &mut self.shards {
+                inner.stats.invalidations += inner.map.len() as u64;
+                inner.map.clear();
+                inner.lru.clear();
+            }
+        }
+
+        fn len(&self) -> usize {
+            self.shards.iter().map(|s| s.map.len()).sum()
+        }
+
+        fn stats(&self) -> DcacheStats {
+            let mut t = DcacheStats::default();
+            for s in &self.shards {
+                t.hits += s.stats.hits;
+                t.misses += s.stats.misses;
+                t.evictions += s.stats.evictions;
+                t.invalidations += s.stats.invalidations;
+            }
+            t
+        }
+    }
+
+    const NAMES: [&str; 6] = ["a", "b", "c", "dd", "e", "f0"];
+
+    #[derive(Debug, Clone)]
+    enum Op {
+        Insert(InodeNo, &'static str, InodeNo),
+        Get(InodeNo, &'static str),
+        Invalidate(InodeNo, &'static str),
+        InvalidateDir(InodeNo),
+        /// `x → None` when `x % drop == 1`, else `(x + shift) % 4`.
+        Remap(u64, u64),
+        Clear,
+    }
+
+    fn op() -> impl Strategy<Value = Op> {
+        prop_oneof![
+            (0u64..4, 0usize..6, 0u64..8).prop_map(|(d, n, i)| Op::Insert(d, NAMES[n], i)),
+            (0u64..4, 0usize..6, 0u64..8).prop_map(|(d, n, i)| Op::Insert(d, NAMES[n], i)),
+            (0u64..4, 0usize..6).prop_map(|(d, n)| Op::Get(d, NAMES[n])),
+            (0u64..4, 0usize..6).prop_map(|(d, n)| Op::Get(d, NAMES[n])),
+            (0u64..4, 0usize..6).prop_map(|(d, n)| Op::Invalidate(d, NAMES[n])),
+            (0u64..4).prop_map(Op::InvalidateDir),
+            (0u64..6, 0u64..4).prop_map(|(drop, shift)| Op::Remap(drop, shift)),
+            Just(Op::Clear),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(400))]
+        /// Random insert/get/invalidate/invalidate_dir/remap/clear
+        /// sequences at capacities 1–16 over 1 or 4 shards: every `get`,
+        /// `remap` count, `len()` and [`DcacheStats`] equals the `Vec`-LRU
+        /// reference after every step.
+        #[test]
+        fn slab_lru_matches_the_vec_lru(
+            cap in 1usize..17,
+            four in 0u8..2,
+            ops in prop::collection::vec(op(), 0..120),
+        ) {
+            let nshards = if four == 1 { 4 } else { 1 };
+            let d = Dcache::with_shards(cap, nshards);
+            let mut m = VecLru::new(cap, nshards);
+            for op in ops {
+                match op {
+                    Op::Insert(dir, name, ino) => {
+                        d.insert(dir, name, ino);
+                        m.insert(dir, name, ino);
+                    }
+                    Op::Get(dir, name) => prop_assert_eq!(d.get(dir, name), m.get(dir, name)),
+                    Op::Invalidate(dir, name) => {
+                        d.invalidate(dir, name);
+                        m.invalidate(dir, name);
+                    }
+                    Op::InvalidateDir(dir) => {
+                        d.invalidate_dir(dir);
+                        m.invalidate_dir(dir);
+                    }
+                    Op::Remap(drop, shift) => {
+                        let f = |x: InodeNo| {
+                            (drop == 0 || x % drop != 1).then_some((x + shift) % 4)
+                        };
+                        prop_assert_eq!(d.remap(f), m.remap(f));
+                    }
+                    Op::Clear => {
+                        d.clear();
+                        m.clear();
+                    }
+                }
+                prop_assert_eq!(d.len(), m.len());
+                prop_assert_eq!(d.stats(), m.stats());
+            }
+        }
     }
 }

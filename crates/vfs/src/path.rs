@@ -8,6 +8,7 @@
 //! the handle is hot-swapped from the legacy adapter to the safe file
 //! system.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -139,15 +140,15 @@ impl Vfs {
     /// Resolves a path to an inode, walking component by component.
     pub fn resolve(&self, path: &str) -> KResult<InodeNo> {
         let _g = self.gate.enter();
-        self.resolve_locked(path)
+        self.resolve_in(&*self.fs.get(), path)
     }
 
-    /// Path walk without the gate: internal callers already hold the
-    /// gate shared, and the fair lock would deadlock a recursive reader
-    /// behind a waiting swap.
-    fn resolve_locked(&self, path: &str) -> KResult<InodeNo> {
-        let path = normalize(path)?;
-        let fs = self.fs.get();
+    /// Path walk in `fs` without the gate: every caller already holds the
+    /// gate shared (the fair lock would deadlock a recursive reader
+    /// behind a waiting swap) and fetched the file system handle once
+    /// for its whole operation.
+    fn resolve_in(&self, fs: &dyn FileSystem, path: &str) -> KResult<InodeNo> {
+        let path = normal(path)?;
         let mut cur = fs.root_ino();
         if path == "/" {
             return Ok(cur);
@@ -165,22 +166,23 @@ impl Vfs {
     }
 
     /// Resolves a path's parent directory and final component.
-    fn resolve_parent(&self, path: &str) -> KResult<(InodeNo, String)> {
-        let path = normalize(path)?;
+    fn resolve_parent(&self, fs: &dyn FileSystem, path: &str) -> KResult<(InodeNo, String)> {
+        let path = normal(path)?;
         let name = crate::spec::basename_of(&path)
             .ok_or(Errno::EINVAL)?
             .to_string();
         validate_name(&name)?;
         let parent = crate::spec::parent_of(&path).ok_or(Errno::EINVAL)?;
-        let dir = self.resolve_locked(&parent)?;
+        let dir = self.resolve_in(fs, &parent)?;
         Ok((dir, name))
     }
 
     /// Creates a regular file.
     pub fn create(&self, path: &str) -> KResult<InodeNo> {
         let _g = self.gate.enter();
-        let (dir, name) = self.resolve_parent(path)?;
-        let ino = self.fs.get().create(dir, &name)?;
+        let fs = self.fs.get();
+        let (dir, name) = self.resolve_parent(&*fs, path)?;
+        let ino = fs.create(dir, &name)?;
         self.dcache.insert(dir, &name, ino);
         Ok(ino)
     }
@@ -188,8 +190,9 @@ impl Vfs {
     /// Creates a directory.
     pub fn mkdir(&self, path: &str) -> KResult<InodeNo> {
         let _g = self.gate.enter();
-        let (dir, name) = self.resolve_parent(path)?;
-        let ino = self.fs.get().mkdir(dir, &name)?;
+        let fs = self.fs.get();
+        let (dir, name) = self.resolve_parent(&*fs, path)?;
+        let ino = fs.mkdir(dir, &name)?;
         self.dcache.insert(dir, &name, ino);
         Ok(ino)
     }
@@ -197,8 +200,9 @@ impl Vfs {
     /// Removes a regular file.
     pub fn unlink(&self, path: &str) -> KResult<()> {
         let _g = self.gate.enter();
-        let (dir, name) = self.resolve_parent(path)?;
-        self.fs.get().unlink(dir, &name)?;
+        let fs = self.fs.get();
+        let (dir, name) = self.resolve_parent(&*fs, path)?;
+        fs.unlink(dir, &name)?;
         self.dcache.invalidate(dir, &name);
         Ok(())
     }
@@ -206,12 +210,13 @@ impl Vfs {
     /// Removes an empty directory.
     pub fn rmdir(&self, path: &str) -> KResult<()> {
         let _g = self.gate.enter();
-        let (dir, name) = self.resolve_parent(path)?;
+        let fs = self.fs.get();
+        let (dir, name) = self.resolve_parent(&*fs, path)?;
         // Invalidate children entries of the dying directory first.
-        if let Ok(victim) = self.resolve_locked(path) {
+        if let Ok(victim) = self.resolve_in(&*fs, path) {
             self.dcache.invalidate_dir(victim);
         }
-        self.fs.get().rmdir(dir, &name)?;
+        fs.rmdir(dir, &name)?;
         self.dcache.invalidate(dir, &name);
         Ok(())
     }
@@ -224,18 +229,19 @@ impl Vfs {
     /// per-directory entry moves and cannot detect the cycle itself.
     pub fn rename(&self, old: &str, new: &str) -> KResult<()> {
         let _g = self.gate.enter();
-        let old_n = normalize(old)?;
-        let new_n = normalize(new)?;
+        let fs = self.fs.get();
+        let old_n = normal(old)?;
+        let new_n = normal(new)?;
         if new_n != old_n && new_n.starts_with(&format!("{old_n}/")) {
-            let ino = self.resolve_locked(&old_n)?;
-            let attr = self.fs.get().getattr(ino)?;
+            let ino = self.resolve_in(&*fs, &old_n)?;
+            let attr = fs.getattr(ino)?;
             if attr.ftype == FileType::Directory {
                 return Err(Errno::EINVAL);
             }
         }
-        let (odir, oname) = self.resolve_parent(old)?;
-        let (ndir, nname) = self.resolve_parent(new)?;
-        self.fs.get().rename(odir, &oname, ndir, &nname)?;
+        let (odir, oname) = self.resolve_parent(&*fs, old)?;
+        let (ndir, nname) = self.resolve_parent(&*fs, new)?;
+        fs.rename(odir, &oname, ndir, &nname)?;
         self.dcache.invalidate(odir, &oname);
         self.dcache.invalidate(ndir, &nname);
         Ok(())
@@ -244,29 +250,32 @@ impl Vfs {
     /// Attributes of the object at `path`.
     pub fn stat(&self, path: &str) -> KResult<Attr> {
         let _g = self.gate.enter();
-        let ino = self.resolve_locked(path)?;
-        self.fs.get().getattr(ino)
+        let fs = self.fs.get();
+        let ino = self.resolve_in(&*fs, path)?;
+        fs.getattr(ino)
     }
 
     /// Directory listing.
     pub fn readdir(&self, path: &str) -> KResult<Vec<DirEntry>> {
         let _g = self.gate.enter();
-        let ino = self.resolve_locked(path)?;
-        self.fs.get().readdir(ino)
+        let fs = self.fs.get();
+        let ino = self.resolve_in(&*fs, path)?;
+        fs.readdir(ino)
     }
 
     /// Truncates a file.
     pub fn truncate(&self, path: &str, size: u64) -> KResult<()> {
         let _g = self.gate.enter();
-        let ino = self.resolve_locked(path)?;
-        self.fs.get().truncate(ino, size)
+        let fs = self.fs.get();
+        let ino = self.resolve_in(&*fs, path)?;
+        fs.truncate(ino, size)
     }
 
     /// Whole-file convenience read.
     pub fn read_file(&self, path: &str) -> KResult<Vec<u8>> {
         let _g = self.gate.enter();
-        let ino = self.resolve_locked(path)?;
         let fs = self.fs.get();
+        let ino = self.resolve_in(&*fs, path)?;
         let attr = fs.getattr(ino)?;
         if attr.ftype == FileType::Directory {
             return Err(Errno::EISDIR);
@@ -280,8 +289,9 @@ impl Vfs {
     /// Positional write by path.
     pub fn write_file(&self, path: &str, off: u64, data: &[u8]) -> KResult<usize> {
         let _g = self.gate.enter();
-        let ino = self.resolve_locked(path)?;
-        self.fs.get().write(ino, off, data)
+        let fs = self.fs.get();
+        let ino = self.resolve_in(&*fs, path)?;
+        fs.write(ino, off, data)
     }
 
     /// Makes everything durable.
@@ -306,8 +316,9 @@ impl Vfs {
     /// Opens an existing regular file with explicit [`OpenFlags`].
     pub fn open_with(&self, path: &str, flags: OpenFlags) -> KResult<Fd> {
         let _g = self.gate.enter();
-        let ino = self.resolve_locked(path)?;
-        let attr = self.fs.get().getattr(ino)?;
+        let fs = self.fs.get();
+        let ino = self.resolve_in(&*fs, path)?;
+        let attr = fs.getattr(ino)?;
         if attr.ftype == FileType::Directory {
             return Err(Errno::EISDIR);
         }
@@ -371,8 +382,9 @@ impl Vfs {
     /// Path-level fsync, for callers without a descriptor.
     pub fn fsync_path(&self, path: &str) -> KResult<()> {
         let _g = self.gate.enter();
-        let ino = self.resolve_locked(path)?;
-        self.fs.get().fsync(ino)
+        let fs = self.fs.get();
+        let ino = self.resolve_in(&*fs, path)?;
+        fs.fsync(ino)
     }
 
     /// Absolute seek; returns the new offset.
@@ -391,6 +403,21 @@ impl Vfs {
     }
 }
 
+/// `path` as given when it is already normal (absolute, without empty,
+/// `.` or `..` components, so also without a trailing slash), which is
+/// what [`normalize`] would return for it; otherwise its normal form.
+fn normal(path: &str) -> KResult<Cow<'_, str>> {
+    let is_normal = path == "/"
+        || path
+            .strip_prefix('/')
+            .is_some_and(|rest| rest.split('/').all(|c| !matches!(c, "" | "." | "..")));
+    if is_normal {
+        Ok(Cow::Borrowed(path))
+    } else {
+        normalize(path).map(Cow::Owned)
+    }
+}
+
 impl Refines<FsModel> for Vfs {
     /// Interprets the mounted tree as the abstract model by walking it.
     /// Holds the gate shared, so the walk never observes a half-done
@@ -398,5 +425,41 @@ impl Refines<FsModel> for Vfs {
     fn abstraction(&self) -> FsModel {
         let _g = self.gate.enter();
         crate::modular::fs_abstraction(&*self.fs.get())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Every path of up to three components drawn from `""`, `.`, `..`,
+    /// `a` and `bc`, relative or absolute: [`normal`] gives the answer
+    /// [`normalize`] gives, and borrows exactly when it is the input.
+    #[test]
+    fn normal_agrees_with_normalize() {
+        let comps = ["", ".", "..", "a", "bc"];
+        for n in 0..=3u32 {
+            for mut code in 0..comps.len().pow(n) {
+                let mut parts = Vec::new();
+                for _ in 0..n {
+                    parts.push(comps[code % comps.len()]);
+                    code /= comps.len();
+                }
+                let rel = parts.join("/");
+                for path in [rel.clone(), format!("/{rel}")] {
+                    let got = normal(&path);
+                    assert_eq!(
+                        got.as_deref().map_err(|e| *e),
+                        normalize(&path).as_deref().map_err(|e| *e),
+                        "{path:?}"
+                    );
+                    assert_eq!(
+                        matches!(got, Ok(Cow::Borrowed(_))),
+                        normalize(&path).is_ok_and(|n| n == path),
+                        "{path:?}"
+                    );
+                }
+            }
+        }
     }
 }

@@ -11,6 +11,7 @@ use safer_kernel::fs_legacy::{cext4_ops, BugKnobs, Cext4};
 use safer_kernel::fs_safe::rsfs::{JournalMode, Rsfs};
 use safer_kernel::ksim::block::{BlockDevice, RamDisk};
 use safer_kernel::ksim::errno::Errno;
+use safer_kernel::ksim::lock::LockRegistry;
 use safer_kernel::legacy::LegacyCtx;
 use safer_kernel::vfs::inode::FileType;
 use safer_kernel::vfs::modular::FileSystem;
@@ -43,6 +44,49 @@ fn mount_cext4() -> Vfs {
         )
         .unwrap();
     Vfs::mount(&registry).unwrap()
+}
+
+/// Exact work counts of the cached read path, independent of host
+/// speed (one thread, a disabled registry, which still counts every
+/// acquisition): a warm rsfs `getattr` takes one buffer-head lock, for
+/// the inode decode, and none for the `Uptodate` test; a warm
+/// `stat("/d0/f1")` takes one dcache shard lock per path component.
+#[test]
+fn cached_read_path_takes_exact_lock_counts() {
+    const N: u64 = 1_000;
+    let locks = LockRegistry::new_disabled();
+    let dev: Arc<dyn BlockDevice> = Arc::new(RamDisk::new(4096));
+    Rsfs::mkfs(&dev, 256, 64).unwrap();
+    let fs =
+        Arc::new(Rsfs::mount_with_registry(dev, JournalMode::PerOp, Arc::clone(&locks)).unwrap());
+    let registry = Registry::new();
+    registry
+        .register::<dyn FileSystem>(FS_INTERFACE, "rsfs", Arc::clone(&fs) as Arc<dyn FileSystem>)
+        .unwrap();
+    let vfs = Vfs::mount_with_lockdep(&registry, Arc::clone(&locks)).unwrap();
+    vfs.mkdir("/d0").unwrap();
+    vfs.create("/d0/f1").unwrap();
+    vfs.write_file("/d0/f1", 0, &[7; 256]).unwrap();
+    vfs.sync().unwrap();
+    let ino = vfs.resolve("/d0/f1").unwrap();
+    assert_eq!(vfs.stat("/d0/f1").unwrap().size, 256);
+    let acquisitions = |class: &str| {
+        locks
+            .class_stats()
+            .iter()
+            .find(|s| s.name == class)
+            .map_or(0, |s| s.acquisitions)
+    };
+
+    let heads = acquisitions("buffer.head");
+    for _ in 0..N {
+        assert_eq!(fs.getattr(ino).unwrap().size, 256);
+    }
+    assert_eq!(acquisitions("buffer.head") - heads, N);
+
+    let shards = acquisitions("dcache.shard");
+    vfs.stat("/d0/f1").unwrap();
+    assert_eq!(acquisitions("dcache.shard") - shards, 2);
 }
 
 fn all_mounts() -> Vec<(&'static str, Vfs)> {
